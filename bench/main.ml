@@ -19,8 +19,8 @@ module Config = Mimd_machine.Config
 
    Everything that forks lives here, and [dist_socket_part] is the
    very first thing main runs: OCaml 5 forbids Unix.fork once any
-   domain has been created, and every later part (Timed_run, the
-   server pool, Value_run) spawns domains.  The domain-side halves of
+   domain has been created, and every later part (the server pool,
+   Exec_compiled) spawns domains.  The domain-side halves of
    the comparison — the in-process mesh round trip and the domain
    makespans for the same programs — are filled in afterwards by
    [dist_domain_part].                                                *)
@@ -188,25 +188,7 @@ let comm_opt_print rows =
     rows;
   flush stdout
 
-(* Part 0b': the compiled execution backend (lib/runtime lower +
-   exec_compiled), interpreted vs lowered per-processor executors on
-   both transports at service-sized trip counts.  The socket halves
-   fork, so they run in the fork phase; the domain halves fill in
-   after every fork is done.                                          *)
-
-type exec_row = {
-  x_kernel : string;
-  x_procs : int;
-  x_iterations : int;
-  x_loop : Mimd_loop_ir.Ast.loop;
-  x_program : Mimd_codegen.Program.t;
-  mutable x_messages : int;
-  x_sock_interp_ns : float;
-  x_sock_compiled_ns : float;
-  mutable x_dom_interp_ns : float;
-  mutable x_dom_compiled_ns : float;
-}
-
+(* Median makespan over [runs] executions of one program. *)
 let exec_runs = 5
 
 let exec_median_makespan ~runs run_once =
@@ -215,38 +197,6 @@ let exec_median_makespan ~runs run_once =
   in
   Array.sort compare samples;
   samples.(runs / 2)
-
-let exec_compiled_socket_part () =
-  List.concat_map
-    (fun (x_kernel, src, x_iterations) ->
-      List.map
-        (fun x_procs ->
-          let x_loop, x_program =
-            dist_compile ~src ~processors:x_procs ~k:2 ~iterations:x_iterations
-          in
-          let messages = ref 0 in
-          let median exec =
-            exec_median_makespan ~runs:exec_runs (fun () ->
-                let o = Mimd_dist.Runner.run ~exec ~loop:x_loop ~program:x_program () in
-                messages := o.Mimd_runtime.Value_run.messages;
-                o)
-          in
-          let x_sock_interp_ns = median `Interp in
-          let x_sock_compiled_ns = median `Compiled in
-          {
-            x_kernel;
-            x_procs;
-            x_iterations;
-            x_loop;
-            x_program;
-            x_messages = !messages;
-            x_sock_interp_ns;
-            x_sock_compiled_ns;
-            x_dom_interp_ns = Float.nan;
-            x_dom_compiled_ns = Float.nan;
-          })
-        [ 2; 4 ])
-    [ ("ewf", W.Elliptic.source, 2000); ("fig1", W.Fig1.source, 2000) ]
 
 (* Part 0d: the TCP transport against the socketpair baseline.  Same
    compiled programs, same executor — only the link layer changes, so
@@ -398,39 +348,6 @@ let dist_tcp_print (s : tcp_stats) =
     (s.respawn_recovered_ns /. 1e6)
     ((s.respawn_recovered_ns -. s.respawn_clean_ns) /. 1e6)
 
-(* Domain halves: strictly after the last fork. *)
-let exec_compiled_domain_part rows =
-  List.iter
-    (fun r ->
-      r.x_dom_interp_ns <-
-        exec_median_makespan ~runs:exec_runs (fun () ->
-            Mimd_runtime.Value_run.run ~loop:r.x_loop ~program:r.x_program ());
-      let lowered = Mimd_runtime.Lower.run ~loop:r.x_loop ~program:r.x_program () in
-      r.x_dom_compiled_ns <-
-        exec_median_makespan ~runs:exec_runs (fun () ->
-            Mimd_runtime.Exec_compiled.run ~lowered ~loop:r.x_loop ~program:r.x_program ()))
-    rows
-
-let exec_compiled_print rows =
-  print_endline
-    "\n=== EXEC-COMPILED (interpreted vs lowered executor, median makespan) ===";
-  Printf.printf "%d runs per cell; same program, same transport, executors only\n"
-    exec_runs;
-  Printf.printf "%-8s %5s %6s %9s %22s %22s\n" "kernel" "procs" "iters" "messages"
-    "socket interp->comp us" "domain interp->comp us";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %5d %6d %9d %9.0f->%-8.0f %1.2fx %8.0f->%-8.0f %1.2fx\n"
-        r.x_kernel r.x_procs r.x_iterations r.x_messages
-        (r.x_sock_interp_ns /. 1e3)
-        (r.x_sock_compiled_ns /. 1e3)
-        (r.x_sock_interp_ns /. r.x_sock_compiled_ns)
-        (r.x_dom_interp_ns /. 1e3)
-        (r.x_dom_compiled_ns /. 1e3)
-        (r.x_dom_interp_ns /. r.x_dom_compiled_ns))
-    rows;
-  flush stdout
-
 (* Part 0c: the tuning loop (lib/tune).  Two costs matter: how much an
    incremental recompile saves over a cold one when drift triggers a
    reschedule (the latency a live service pays), and what the
@@ -573,7 +490,7 @@ let dist_domain_part stats =
   stats.domain_rtt_ns <- samples.(rounds / 2);
   List.iter
     (fun r ->
-      let outcome = Mimd_runtime.Value_run.run ~loop:r.d_loop ~program:r.d_program () in
+      let outcome = Mimd_runtime.Exec_compiled.run ~loop:r.d_loop ~program:r.d_program () in
       r.domain_makespan_ns <- outcome.Mimd_runtime.Value_run.makespan_ns)
     stats.dist_rows;
   let socket_rtt =
@@ -641,78 +558,6 @@ let reproduce () =
       ("cytron86", W.Cytron86.graph (), W.Cytron86.machine);
     ];
   flush stdout
-
-(* ---------------------------------------------------------------- *)
-(* Part 2: real-domain runtime vs the cycle-accurate simulator         *)
-
-type runtime_row = {
-  kernel : string;
-  iterations : int;
-  domains : int;
-  simulated_makespan : int;
-  sequential_cycles : int;
-  wall_parallel_ns : float;
-  wall_1domain_ns : float;
-  wall_speedup : float;
-}
-
-(* Wall-clock comparison on real OCaml 5 domains.  One emulated cycle
-   = [grain_us] of timed wait, so overlapping waits expose the
-   schedule's parallelism in wall-clock even when the host has fewer
-   cores than domains (the 1-domain baseline runs the same loop under
-   a 1-processor schedule). *)
-let runtime_comparison () =
-  let grain_us = 20.0 in
-  let work = Mimd_runtime.Timed_run.Sleep (grain_us *. 1e3) in
-  let kernels =
-    [ ("fig7", W.Fig7.source, 150); ("ewf", W.Elliptic.source, 60) ]
-  in
-  let rows =
-    List.map
-      (fun (kernel, src, iterations) ->
-        let loop = Mimd_loop_ir.Parser.parse src in
-        let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
-        let machine = Config.make ~processors:2 ~comm_estimate:2 in
-        let cache = Mimd_runtime.Schedule_cache.global in
-        let full =
-          Mimd_runtime.Schedule_cache.find_or_compute cache ~graph ~machine ~iterations ()
-        in
-        let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
-        let sim = Mimd_sim.Exec.run ~program ~links:(Mimd_sim.Links.fixed 2) () in
-        let par = Mimd_runtime.Timed_run.run ~work ~program () in
-        let seq_full =
-          Mimd_runtime.Schedule_cache.find_or_compute cache ~graph
-            ~machine:(Config.make ~processors:1 ~comm_estimate:2)
-            ~iterations ()
-        in
-        let seq_program =
-          Mimd_codegen.From_schedule.run seq_full.Mimd_core.Full_sched.schedule
-        in
-        let seq = Mimd_runtime.Timed_run.run ~work ~program:seq_program () in
-        {
-          kernel;
-          iterations;
-          domains = par.Mimd_runtime.Timed_run.domains;
-          simulated_makespan = sim.Mimd_sim.Exec.makespan;
-          sequential_cycles =
-            Array.fold_left ( + ) 0 seq.Mimd_runtime.Timed_run.busy_cycles;
-          wall_parallel_ns = par.Mimd_runtime.Timed_run.makespan_ns;
-          wall_1domain_ns = seq.Mimd_runtime.Timed_run.makespan_ns;
-          wall_speedup = Mimd_runtime.Timed_run.speedup ~baseline:seq par;
-        })
-      kernels
-  in
-  print_endline "\n=== RUNTIME (real OCaml 5 domains, wall-clock vs simulated) ===";
-  Printf.printf "%-8s %5s %8s %10s %10s %12s %12s %8s\n" "kernel" "iters" "domains"
-    "sim-make" "seq-cyc" "wall-par-ms" "wall-1dom-ms" "speedup";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %5d %8d %10d %10d %12.2f %12.2f %8.2f\n" r.kernel r.iterations
-        r.domains r.simulated_makespan r.sequential_cycles (r.wall_parallel_ns /. 1e6)
-        (r.wall_1domain_ns /. 1e6) r.wall_speedup)
-    rows;
-  flush stdout;
-  rows
 
 (* ---------------------------------------------------------------- *)
 (* Part 2b: the compile service — batch throughput and the two cache
@@ -922,28 +767,6 @@ let comm_opt_json rows =
   Buffer.add_string b "  ]},\n";
   Buffer.contents b
 
-let exec_compiled_json rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "  \"exec_compiled\": {\"runs_per_cell\": %d, \"rows\": [\n" exec_runs);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"processors\": %d, \"iterations\": %d, \
-            \"messages\": %d, \"socket_interp_ns\": %.0f, \"socket_compiled_ns\": %.0f, \
-            \"socket_speedup\": %.2f, \"domain_interp_ns\": %.0f, \
-            \"domain_compiled_ns\": %.0f, \"domain_speedup\": %.2f}%s\n"
-           (json_escape r.x_kernel) r.x_procs r.x_iterations r.x_messages
-           r.x_sock_interp_ns r.x_sock_compiled_ns
-           (r.x_sock_interp_ns /. r.x_sock_compiled_ns)
-           r.x_dom_interp_ns r.x_dom_compiled_ns
-           (r.x_dom_interp_ns /. r.x_dom_compiled_ns)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]},\n";
-  Buffer.contents b
-
 let tune_json t =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -967,28 +790,13 @@ let tune_json t =
   Buffer.add_string b "  ]},\n";
   Buffer.contents b
 
-let write_json ~dist ~dist_tcp ~comm_rows ~exec_rows ~tune ~runtime_rows ~server
-    ~bechamel_rows path =
+let write_json ~dist ~dist_tcp ~comm_rows ~tune ~server ~bechamel_rows path =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": 1,\n  \"generated_by\": \"bench/main.exe\",\n";
   Buffer.add_string b (dist_json dist);
   Buffer.add_string b (dist_tcp_json dist_tcp);
   Buffer.add_string b (comm_opt_json comm_rows);
-  Buffer.add_string b (exec_compiled_json exec_rows);
   Buffer.add_string b (tune_json tune);
-  Buffer.add_string b "  \"runtime\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"iterations\": %d, \"domains\": %d, \
-            \"simulated_makespan_cycles\": %d, \"sequential_cycles\": %d, \
-            \"wall_parallel_ns\": %.0f, \"wall_1domain_ns\": %.0f, \"wall_speedup\": %.4f}%s\n"
-           (json_escape r.kernel) r.iterations r.domains r.simulated_makespan
-           r.sequential_cycles r.wall_parallel_ns r.wall_1domain_ns r.wall_speedup
-           (if i = List.length runtime_rows - 1 then "" else ",")))
-    runtime_rows;
-  Buffer.add_string b "  ],\n";
   Buffer.add_string b
     (Printf.sprintf
        "  \"server_batch\": {\"corpus_size\": %d, \"iterations\": %d, \
@@ -1217,31 +1025,22 @@ let quick () =
         failed := true
       end)
     [ ("ewf", W.Elliptic.source); ("fig1", W.Fig1.source) ];
-  (* Compiled-executor smoke: on ewf at a service-sized trip count the
-     lowered executor must not lose to the interpreted one on the
-     domain mesh (the full bench records the actual multiple).  No
-     forking: quick mode may spawn domains freely. *)
+  (* Executor smoke: ewf at a service-sized trip count on the domain
+     mesh, checked against the sequential interpreter (the value, not
+     the time, is gated).  No forking: quick mode may spawn domains
+     freely. *)
   (let loop, program = dist_compile ~src:W.Elliptic.source ~processors:2 ~k:2 ~iterations:1000 in
-   let median run_once =
-     let samples =
-       Array.init 3 (fun _ ->
-           (run_once () : Mimd_runtime.Value_run.outcome).Mimd_runtime.Value_run.makespan_ns)
-     in
-     Array.sort compare samples;
-     samples.(1)
-   in
-   let interp_ns = median (fun () -> Mimd_runtime.Value_run.run ~loop ~program ()) in
    let lowered = Mimd_runtime.Lower.run ~loop ~program () in
-   let compiled_ns =
-     median (fun () -> Mimd_runtime.Exec_compiled.run ~lowered ~loop ~program ())
-   in
-   Printf.printf
-     "mimdloop exec-compiled ewf x1000 p=2: interp %.0f us, compiled %.0f us (%.2fx)\n"
-     (interp_ns /. 1e3) (compiled_ns /. 1e3) (interp_ns /. compiled_ns);
-   if compiled_ns > interp_ns then begin
-     Printf.printf "compiled executor lost to the interpreted one on ewf\n";
-     failed := true
-   end);
+   let outcome = Mimd_runtime.Exec_compiled.run ~lowered ~loop ~program () in
+   Printf.printf "mimdloop exec-compiled ewf x1000 p=2: %.0f us\n"
+     (outcome.Mimd_runtime.Value_run.makespan_ns /. 1e3);
+   match
+     Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations:1000 outcome
+   with
+   | Ok () -> ()
+   | Error e ->
+     Printf.printf "compiled executor disagrees with the sequential interpreter: %s\n" e;
+     failed := true);
   (* Tune smoke: a drift-triggered recompile reuses the prepared
      prefix, so it must (a) report the reuse and (b) beat the cold
      compile that primed it.  The prefix is graph-sized while
@@ -1290,18 +1089,14 @@ let () =
     let comm_rows =
       comm_opt_part ~assumed_k:dist.assumed_k ~effective_k:dist.effective_k_rounded ()
     in
-    let exec_rows = exec_compiled_socket_part () in
     let tune = tune_part ~assumed_k:dist.assumed_k () in
     reproduce ();
-    let runtime_rows = runtime_comparison () in
     dist_domain_part dist;
-    exec_compiled_domain_part exec_rows;
     dist_tcp_print dist_tcp;
     comm_opt_print comm_rows;
-    exec_compiled_print exec_rows;
     tune_print tune;
     let server = server_comparison () in
     let bechamel_rows = benchmark () in
-    write_json ~dist ~dist_tcp ~comm_rows ~exec_rows ~tune ~runtime_rows ~server
-      ~bechamel_rows "BENCH_results.json"
+    write_json ~dist ~dist_tcp ~comm_rows ~tune ~server ~bechamel_rows
+      "BENCH_results.json"
   end

@@ -648,19 +648,6 @@ let src_t =
   in
   Arg.(value & opt string "fig7" & info [ "src" ] ~docv:"NAME" ~doc)
 
-(* Shared by run-parallel, run-dist and serve: which per-processor
-   executor runs the generated programs. *)
-let exec_t =
-  let execs = [ ("compiled", `Compiled); ("interp", `Interp) ] in
-  Arg.(
-    value
-    & opt (enum execs) `Compiled
-    & info [ "exec" ] ~docv:"BACKEND"
-        ~doc:
-          "Per-processor executor: $(b,compiled) (default) lowers each program once to \
-           flat, unboxed code before running; $(b,interp) walks the instruction list \
-           directly.  Outcomes are bit-identical.")
-
 (* Compile a loop down to a per-processor message-passing program —
    the front end of run-dist (run-parallel keeps its own inline copy
    for its cache-repeat reporting).  Codegen runs with validate:true,
@@ -698,8 +685,8 @@ let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
         | Ok (opt, stats) -> Ok (flat, full, opt, Some stats)))
 
 let run_parallel_cmd =
-  let run src file seed processors k iterations timed grain_us repeat no_cache timeout fault
-      comm_opt comm_window trace exec =
+  let run src file seed processors k iterations repeat no_cache timeout fault comm_opt
+      comm_window trace =
     match load_loop ~src ~file ~seed with
     | Error e ->
       prerr_endline ("mimdloop: " ^ e);
@@ -791,42 +778,34 @@ let run_parallel_cmd =
         in
         let watchdog = Mimd_runtime.Watchdog.config ~timeout () in
         let run_backend () =
-          match exec with
-          | `Interp ->
-            if fault = `Stale_slot then
-              invalid_arg "--inject-fault stale-slot requires --exec compiled"
-            else
-              Mimd_runtime.Value_run.run ?init:run_init ~watchdog ~loop:flat ~program ()
-          | `Compiled ->
-            (* The lowered form rides the schedule cache — but only for
-               clean programs: a fault-mutated program must not poison
-               (or hit) the pristine entry. *)
-            let lowered =
-              if no_cache || fault <> `None then
-                Mimd_runtime.Lower.run ~loop:flat ~program ()
-              else begin
-                let fingerprint =
-                  Mimd_runtime.Schedule_cache.fingerprint ~graph ~machine ~iterations ()
-                in
-                let key =
-                  Mimd_runtime.Schedule_cache.lowered_key
-                    ?comm_window:(if comm_opt then Some comm_window else None)
-                    ~fingerprint ~loop:flat ()
-                in
-                match Mimd_runtime.Schedule_cache.find_lowered cache ~key with
-                | Some l -> l
-                | None ->
-                  let l = Mimd_runtime.Lower.run ~loop:flat ~program () in
-                  Mimd_runtime.Schedule_cache.add_lowered cache ~key l;
-                  l
-              end
-            in
-            let lowered =
-              if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
-              else lowered
-            in
-            Mimd_runtime.Exec_compiled.run ?init:run_init ~watchdog ~lowered ~loop:flat
-              ~program ()
+          (* The lowered form rides the schedule cache — but only for
+             clean programs: a fault-mutated program must not poison
+             (or hit) the pristine entry. *)
+          let lowered =
+            if no_cache || fault <> `None then Mimd_runtime.Lower.run ~loop:flat ~program ()
+            else begin
+              let fingerprint =
+                Mimd_runtime.Schedule_cache.fingerprint ~graph ~machine ~iterations ()
+              in
+              let key =
+                Mimd_runtime.Schedule_cache.lowered_key
+                  ?comm_window:(if comm_opt then Some comm_window else None)
+                  ~fingerprint ~loop:flat ()
+              in
+              match Mimd_runtime.Schedule_cache.find_lowered cache ~key with
+              | Some l -> l
+              | None ->
+                let l = Mimd_runtime.Lower.run ~loop:flat ~program () in
+                Mimd_runtime.Schedule_cache.add_lowered cache ~key l;
+                l
+            end
+          in
+          let lowered =
+            if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
+            else lowered
+          in
+          Mimd_runtime.Exec_compiled.run ?init:run_init ~watchdog ~lowered ~loop:flat
+            ~program ()
         in
         match run_backend () with
         | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
@@ -865,51 +844,15 @@ let run_parallel_cmd =
                 st.Mimd_runtime.Schedule_cache.hits st.Mimd_runtime.Schedule_cache.misses
                 st.Mimd_runtime.Schedule_cache.entries
                 (if st.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies");
-              if exec = `Compiled then begin
-                let lt = Mimd_runtime.Schedule_cache.lowered_stats cache in
-                Format.printf "  lowered cache: %d hit(s), %d miss(es), %d entr%s@."
-                  lt.Mimd_runtime.Schedule_cache.hits lt.Mimd_runtime.Schedule_cache.misses
-                  lt.Mimd_runtime.Schedule_cache.entries
-                  (if lt.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies")
-              end
+              let lt = Mimd_runtime.Schedule_cache.lowered_stats cache in
+              Format.printf "  lowered cache: %d hit(s), %d miss(es), %d entr%s@."
+                lt.Mimd_runtime.Schedule_cache.hits lt.Mimd_runtime.Schedule_cache.misses
+                lt.Mimd_runtime.Schedule_cache.entries
+                (if lt.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies")
             end;
-            if not timed then 0
-            else begin
-              match
-                let work = Mimd_runtime.Timed_run.Sleep (grain_us *. 1e3) in
-                let par = Mimd_runtime.Timed_run.run ~watchdog ~work ~program () in
-                let seq_machine = machine_of 1 k in
-                let seq_full = sched_for seq_machine in
-                let seq_program =
-                  Mimd_codegen.From_schedule.run ~validate:true seq_full.Full_sched.schedule
-                in
-                let seq = Mimd_runtime.Timed_run.run ~watchdog ~work ~program:seq_program () in
-                Format.printf
-                  "  timed dry run (%.1f us/cycle): %d domain(s) %.2f ms, 1 domain %.2f ms \
-                   -> wall-clock speedup %.2f@."
-                  grain_us par.Mimd_runtime.Timed_run.domains
-                  (par.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                  (seq.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                  (Mimd_runtime.Timed_run.speedup ~baseline:seq par)
-              with
-              | () -> 0
-              | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-                prerr_endline
-                  ("mimdloop: runtime deadlock in the timed dry run\n"
-                  ^ Mimd_runtime.Watchdog.describe stall);
-                1
-            end
+            0
         end
       end
-  in
-  let timed_t =
-    Arg.(value & flag & info [ "timed" ]
-           ~doc:"Also run the cycle-emulating dry run and report wall-clock speedup over a \
-                 1-domain run.")
-  in
-  let grain_t =
-    Arg.(value & opt float 20.0 & info [ "grain-us" ] ~docv:"US"
-           ~doc:"Emulated duration of one schedule cycle in the dry run (microseconds).")
   in
   let repeat_t =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R"
@@ -935,17 +878,15 @@ let run_parallel_cmd =
            ~doc:"Deliberately sabotage the run to demonstrate the failure exits: \
                  $(b,drop-send) removes one message (watchdog fires), $(b,skew-init) \
                  perturbs the runtime's initial memory (value mismatch), $(b,stale-slot) \
-                 rewires one compiled operand to an unwritten slot (value mismatch; \
-                 requires $(b,--exec) $(i,compiled)).")
+                 rewires one compiled operand to an unwritten slot (value mismatch).")
   in
   Cmd.v
     (Cmd.info "run-parallel"
        ~doc:"Execute a compiled loop on real OCaml 5 domains (one per scheduled processor) \
              and check the values against the sequential interpreter")
     Term.(
-      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ timed_t
-      $ grain_t $ repeat_t $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t
-      $ trace_t $ exec_t)
+      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ repeat_t
+      $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let check_cmd =
   let module V = Mimd_check.Validate in
@@ -1073,10 +1014,10 @@ let check_cmd =
   let fuzz_exec_t =
     Arg.(value & opt (some int) None & info [ "fuzz-exec" ] ~docv:"N"
            ~doc:"Differentially fuzz the compiled execution backend: N random loops and \
-                 machine shapes, each run through both domain executors — interpreted \
-                 and compiled — and (after the comm-opt rewrite, exercising packed \
-                 frames) compared against the sequential interpreter and each other, \
-                 every instance value bit for bit.")
+                 machine shapes, each run on the compiled domain executor and compared \
+                 against the simulator and the sequential interpreter, every instance \
+                 value bit for bit, on the generated program and again after the \
+                 comm-opt rewrite (exercising packed frames).")
   in
   let fuzz_seed_t =
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED"
@@ -1164,7 +1105,7 @@ let resolve_jobs = function
   | Some _ -> 1
   | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
-let make_server ?comm_opt ?exec ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate () =
+let make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate () =
   let disk =
     if no_disk_cache then None
     else
@@ -1172,14 +1113,14 @@ let make_server ?comm_opt ?exec ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~va
         (Mimd_server.Disk_cache.create
            ~dir:(Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) cache_dir))
   in
-  let service = Mimd_server.Service.create ?disk ~validate ?comm_opt ?exec () in
+  let service = Mimd_server.Service.create ?disk ~validate ?comm_opt () in
   let pool = Mimd_server.Pool.create ~queue_depth ~jobs:(resolve_jobs jobs) () in
   let server = Mimd_server.Server.create ~service ~pool () in
   (server, pool)
 
 let serve_cmd =
   let run stdio socket jobs queue_depth cache_dir no_disk_cache validate auto_k comm_opt
-      comm_window trace exec =
+      comm_window trace =
     with_streaming_trace trace @@ fun () ->
     (* Boot-time calibration forks echo children, so it must precede
        the pool's domain spawns just below. *)
@@ -1191,7 +1132,7 @@ let serve_cmd =
     end;
     let comm_opt = if comm_opt then Some comm_window else None in
     let server, pool =
-      make_server ?comm_opt ~exec ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
+      make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
     in
     let code =
       match (stdio, socket) with
@@ -1223,7 +1164,7 @@ let serve_cmd =
     Term.(
       const run $ stdio_t $ socket_t $ jobs_t $ queue_depth_t $ cache_dir_t
       $ no_disk_cache_t $ validate_sched_t $ auto_k_t $ comm_opt_t $ comm_window_t
-      $ trace_t $ exec_t)
+      $ trace_t)
 
 let batch_cmd =
   let run paths jobs queue_depth cache_dir no_disk_cache validate processors k iterations
@@ -1270,15 +1211,12 @@ let run_dist_cmd =
   (* One dist execution: compile, fork, compare against the sequential
      interpreter.  Returns an error string instead of printing so the
      sweep can aggregate. *)
-  let dist_once ?sabotage ?comm_opt ?transport ?(respawn = 0) ~exec ~loop ~machine
+  let dist_once ?sabotage ?comm_opt ?transport ?(respawn = 0) ~loop ~machine
       ~iterations ~timeout () =
     match compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache:false () with
     | Error e -> Error e
     | Ok (flat, _full, program, stats) -> (
-      let rexec = match exec with `Compiled -> `Compiled | `Interp -> `Interp in
-      match
-        Runner.run ?sabotage ?transport ~respawn ~timeout ~exec:rexec ~loop:flat ~program ()
-      with
+      match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop:flat ~program () with
       | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
       | outcome -> (
         match VR.check_against_sequential ~loop:flat ~iterations outcome with
@@ -1286,7 +1224,7 @@ let run_dist_cmd =
         | Ok () -> Ok (flat, program, stats, outcome)))
   in
   let run src file seed processors k iterations timeout probe vs_domains sweep fault
-      tcp connect respawn auto_k drift_threshold comm_opt comm_window trace exec =
+      tcp connect respawn auto_k drift_threshold comm_opt comm_window trace =
     let comm_opt = if comm_opt then Some comm_window else None in
     guard_broken_pipe @@ fun () ->
     with_trace trace @@ fun () ->
@@ -1336,7 +1274,7 @@ let run_dist_cmd =
       for seed = 1 to sweep do
         let loop = W.Random_loop.generate_loop ~seed () in
         match
-          dist_once ?comm_opt ?transport ~respawn ~exec ~loop ~machine ~iterations
+          dist_once ?comm_opt ?transport ~respawn ~loop ~machine ~iterations
             ~timeout ()
         with
         | Ok _ -> ()
@@ -1430,7 +1368,7 @@ let run_dist_cmd =
                 end)
         in
         match
-          dist_once ?sabotage ?comm_opt ?transport ~respawn ~exec ~loop ~machine
+          dist_once ?sabotage ?comm_opt ?transport ~respawn ~loop ~machine
             ~iterations ~timeout ()
         with
         | Error e ->
@@ -1451,14 +1389,8 @@ let run_dist_cmd =
             outcome.VR.domain_wall_ns;
           if not vs_domains then 0
           else begin
-            (* The in-domain runtime runs strictly after every fork,
-               on the same executor as the socket run. *)
-            let domain_run () =
-              match exec with
-              | `Interp -> VR.run ~loop:flat ~program ()
-              | `Compiled -> Mimd_runtime.Exec_compiled.run ~loop:flat ~program ()
-            in
-            match domain_run () with
+            (* The in-domain runtime runs strictly after every fork. *)
+            match Mimd_runtime.Exec_compiled.run ~loop:flat ~program () with
             | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
               prerr_endline
                 ("mimdloop: runtime deadlock in the domain comparison\n"
@@ -1542,8 +1474,7 @@ let run_dist_cmd =
     Term.(
       const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t
       $ dist_timeout_t $ probe_t $ vs_domains_t $ sweep_t $ fault_t $ tcp_t $ connect_t
-      $ respawn_t $ auto_k_t $ drift_threshold_t $ comm_opt_t $ comm_window_t $ trace_t
-      $ exec_t)
+      $ respawn_t $ auto_k_t $ drift_threshold_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir no_disk_cache

@@ -138,7 +138,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
     else begin
       (* ... and on real domains. *)
       let watchdog = Watchdog.config ~timeout:30.0 () in
-      let rt = Value_run.run ~watchdog ~loop ~program () in
+      let rt = Exec_compiled.run ~watchdog ~loop ~program () in
       let* () =
         Result.map_error (( ^ ) "runtime vs interpreter: ")
           (Value_run.check_against_sequential ~loop ~iterations:case.iterations rt)
@@ -149,15 +149,16 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* The compiled-execution oracle: compiled ≡ interpreted ≡ sequential  *)
+(* The compiled-execution oracle: compiled ≡ simulator ≡ sequential    *)
 
-(* Every case runs the same program through the sequential interpreter
-   (via the simulator's check), the interpreted domain runtime and the
-   compiled domain runtime, and requires the full instance-value sets
-   bit-identical.  The comm-opt rewrite then runs over the program and
-   the optimized form repeats the compiled-vs-interpreted comparison —
-   that is what pushes Send_pack/Recv_pack frames (slot-array delivery)
-   through the compiled executor on every case that coalesces. *)
+(* Every case runs the same program through the simulator's value
+   executor and the compiled domain runtime, requires both final
+   memories bit-identical to the sequential interpreter and the full
+   instance-value sets identical to each other.  The comm-opt rewrite
+   then runs over the program and the optimized form repeats the
+   comparison — that is what pushes Send_pack/Recv_pack frames
+   (slot-array delivery) through the compiled executor on every case
+   that coalesces. *)
 let check_exec_case ?(runtime = true) case =
   try
     let loop =
@@ -169,33 +170,32 @@ let check_exec_case ?(runtime = true) case =
     let names = Graph.name graph in
     let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
     let* () = Validate.error_of ~names (Validate.program program) in
-    let sim = Value_exec.run ~loop ~program ~links:(links_of_case case) () in
-    let* () =
-      Result.map_error (( ^ ) "simulator vs interpreter: ")
-        (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
-    in
-    if not runtime then Ok ()
-    else begin
-      let watchdog = Watchdog.config ~timeout:30.0 () in
-      let differential program =
-        let interp = Value_run.run ~watchdog ~loop ~program () in
+    let links = links_of_case case in
+    let watchdog = Watchdog.config ~timeout:30.0 () in
+    let differential program =
+      let sim = Value_exec.run ~loop ~program ~links () in
+      let* () =
+        Result.map_error (( ^ ) "simulator vs interpreter: ")
+          (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
+      in
+      if not runtime then Ok ()
+      else begin
         let compiled = Exec_compiled.run ~watchdog ~loop ~program () in
         let* () =
           Result.map_error (( ^ ) "compiled runtime vs interpreter: ")
             (Value_run.check_against_sequential ~loop ~iterations:case.iterations
                compiled)
         in
-        Result.map_error (( ^ ) "compiled vs interpreted runtime: ")
-          (compare_instances ~sim:interp.Value_run.instance_values
+        Result.map_error (( ^ ) "compiled runtime vs simulator: ")
+          (compare_instances ~sim:sim.Value_exec.instance_values
              ~rt:compiled.Value_run.instance_values)
-      in
-      let* () = differential program in
-      let window = 1 + (case.iterations mod 4) in
-      match Mimd_codegen.Comm_opt.run ~window program with
-      | exception Failure m -> Error ("comm-opt self-check: " ^ m)
-      | opt, _stats ->
-        Result.map_error (( ^ ) "optimized program: ") (differential opt)
-    end
+      end
+    in
+    let* () = differential program in
+    let window = 1 + (case.iterations mod 4) in
+    match Mimd_codegen.Comm_opt.run ~window program with
+    | exception Failure m -> Error ("comm-opt self-check: " ^ m)
+    | opt, _stats -> Result.map_error (( ^ ) "optimized program: ") (differential opt)
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -228,7 +228,7 @@ let domain_instances_forked ~loop ~program =
     let result : (((int * int) * float) list, string) result =
       try
         let watchdog = Watchdog.config ~timeout:30.0 () in
-        let rt = Value_run.run ~watchdog ~loop ~program () in
+        let rt = Exec_compiled.run ~watchdog ~loop ~program () in
         Ok rt.Value_run.instance_values
       with e -> Error (Printexc.to_string e)
     in

@@ -10,7 +10,7 @@
     + the emitted message protocol ({!Validate.program});
     + the computed {e values}, differentially: the simulated parallel
       execution ({!Mimd_sim.Value_exec}) and the real-domain runtime
-      ({!Mimd_runtime.Value_run}) must both match the sequential
+      ({!Mimd_runtime.Exec_compiled}) must both match the sequential
       interpreter ({!Mimd_loop_ir.Interp}) bit for bit, and must match
       each other instance by instance.
 
@@ -85,15 +85,15 @@ val check_case : ?fault:fault -> ?runtime:bool -> case -> (unit, string) result
 
 val check_exec_case : ?runtime:bool -> case -> (unit, string) result
 (** The compiled-execution differential oracle for one case: compile,
-    then (with [runtime]) run the program through both domain
-    executors — the interpreted {!Mimd_runtime.Value_run} and the
-    compiled {!Mimd_runtime.Exec_compiled} — requiring both to match
-    the sequential interpreter and each other, every instance value
-    bit-for-bit; the comm-opt rewrite (window [1 + iterations mod 4],
-    deterministic for replay) then runs and the optimized, pack-bearing
-    program repeats the compiled-vs-interpreted comparison.  Spawns
-    domains in-process: in a combined run it must come after anything
-    that forks. *)
+    then run the program through the simulator's value executor
+    ({!Mimd_sim.Value_exec}) and (with [runtime]) the compiled domain
+    executor ({!Mimd_runtime.Exec_compiled}), requiring both final
+    memories to match the sequential interpreter and the two
+    instance-value sets to match each other bit-for-bit; the comm-opt
+    rewrite (window [1 + iterations mod 4], deterministic for replay)
+    then runs and the optimized, pack-bearing program repeats the
+    comparison.  Spawns domains in-process: in a combined run it must
+    come after anything that forks. *)
 
 val check_comm_case :
   ?fault:fault -> ?runtime:bool -> ?window:int -> case -> (unit, string) result

@@ -1,7 +1,7 @@
 (** The socket counterpart of {!Mimd_runtime.Mesh}: one full-duplex
     [socketpair(2)] per unordered processor pair, with {!Wire} frames
-    as messages, presented to {!Mimd_runtime.Value_run.worker} through
-    the same {!Mimd_runtime.Value_run.chans} interface as the
+    as messages, presented to {!Mimd_runtime.Exec_compiled.worker}
+    through the same {!Mimd_runtime.Value_run.chans} interface as the
     in-process mesh — so the worker's instruction semantics (tagged
     messages, out-of-order stashing, blocking at capacity) are shared
     code, not a reimplementation.

@@ -75,12 +75,15 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
   if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
     invalid_arg "Runner.run: statement/node count mismatch";
   (* Lower once in the parent; the fork hands every child the shared
-     immutable compiled form for free. *)
+     immutable compiled form for free.  A supplied form is checked here,
+     before any fork, so a mismatch cannot surface as a child crash. *)
   let lowered =
     match exec with
-    | `Compiled -> Some (Mimd_runtime.Lower.run ~loop ~program ())
-    | `Compiled_form l -> Some l
-    | `Interp -> None
+    | `Compiled -> Mimd_runtime.Lower.run ~loop ~program ()
+    | `Compiled_form l ->
+      if l.Mimd_runtime.Lower.processors <> program.Program.processors then
+        invalid_arg "Runner.run: lowered form is for another program";
+      l
   in
   (* A child that died mid-frame must cost an EPIPE, not a fatal
      SIGPIPE in the supervisor. *)
@@ -149,11 +152,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
             | `U m -> Mesh_sock.chans m ~proc:j
             | `T c -> Mesh_tcp.chans c
           in
-          match lowered with
-          | Some lowered ->
-            Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j
-              ~chans ()
-          | None -> Value_run.worker ~init ~scalars ~loop ~program ~proc:j ~chans ()
+          Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j ~chans ()
         with
         | computed, sent ->
           Ok

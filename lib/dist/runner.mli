@@ -1,6 +1,6 @@
 (** The supervisor of the socket runtime: one forked OS process per
     scheduled processor, {!Mesh_sock} links between them, the shared
-    {!Mimd_runtime.Value_run.worker} inside each, and a parent that
+    {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent that
     spawns, releases them together, collects per-child reports over
     control sockets and folds them through
     {!Mimd_runtime.Value_run.finalize} — so a distributed run yields
@@ -18,7 +18,7 @@
 
     {b Fork ordering}: OCaml 5 forbids [Unix.fork] in a process that
     has ever created a domain.  Call this before anything that spawns
-    domains ({!Mimd_runtime.Value_run.run}, the server pool, parallel
+    domains ({!Mimd_runtime.Exec_compiled.run}, the server pool, parallel
     benchmarks). *)
 
 type failure =
@@ -56,8 +56,7 @@ val run :
   ?channel_capacity:int ->
   ?sabotage:(int array -> unit) ->
   ?transport:transport ->
-  ?exec:
-    [ `Compiled | `Compiled_form of Mimd_runtime.Lower.t | `Interp ] ->
+  ?exec:[ `Compiled | `Compiled_form of Mimd_runtime.Lower.t ] ->
   ?respawn:int ->
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
@@ -70,13 +69,12 @@ val run :
     [run-dist --inject-fault] use it; production callers omit it.
     [transport] (default {!Unix_sockets}) picks the link layer; both
     yield bit-identical outcomes (the TCP loopback differential in CI
-    pins this).  [exec] picks the per-child executor: [`Compiled]
-    (default) lowers the program once in the parent and runs
-    {!Mimd_runtime.Exec_compiled.worker} in every child,
-    [`Compiled_form l] reuses an already-lowered form (e.g. from
-    {!Mimd_runtime.Schedule_cache}), [`Interp] runs the interpreted
-    {!Mimd_runtime.Value_run.worker}; outcomes are bit-identical
-    either way.  [respawn] (default 0) retries the whole run up to
+    pins this).  Every child runs
+    {!Mimd_runtime.Exec_compiled.worker}; [exec] says where its
+    lowered form comes from: [`Compiled] (default) lowers the program
+    once in the parent, [`Compiled_form l] reuses an already-lowered
+    form (e.g. from {!Mimd_runtime.Schedule_cache}), checked against
+    [program]'s processor count before any fork.  [respawn] (default 0) retries the whole run up to
     that many times after an {e environmental} failure — a
     [Child_exit], a [Stalled], or a [Child_error] carrying a
     [link down:] message (a peer's death observed from the wrong
@@ -88,5 +86,6 @@ val run :
     mismatch) is never retried — it recurs deterministically.  While tracing is on, children capture
     their own [run.*]/[dist.*] spans and the parent absorbs them into
     its export on distinct tracks.
-    @raise Invalid_argument on a malformed loop/program pair.
+    @raise Invalid_argument on a malformed loop/program pair, or when
+    a [`Compiled_form] was lowered for a different processor count.
     @raise Dist_error as above; all children are reaped first. *)

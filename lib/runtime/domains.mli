@@ -1,6 +1,6 @@
 (** Watchdog-guarded execution of per-processor programs on real
-    OCaml 5 domains — the spawn / monitor / join harness shared by the
-    value-carrying ({!Value_run}) and timing ({!Timed_run}) executors.
+    OCaml 5 domains — the spawn / monitor / join harness under
+    {!Exec_compiled}.
 
     One domain is spawned per scheduled processor and runs that
     processor's instruction stream via the caller's [worker] callback;

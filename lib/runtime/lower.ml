@@ -148,8 +148,7 @@ let lower_proc ~resolve ~reads ~codes ~(program : Program.t) j =
     | Some _ | None -> None
   in
   (* Pass 2: resolve every operand to a slot index, failing loudly on
-     a malformed program exactly where the interpreted worker would at
-     run time. *)
+     a malformed program before any processor runs. *)
   let lowered =
     Array.mapi
       (fun pos instr ->

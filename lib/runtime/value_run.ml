@@ -3,7 +3,6 @@ module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
 module Interp = Mimd_loop_ir.Interp
 module Value_exec = Mimd_sim.Value_exec
-module Trace = Mimd_obs.Trace
 
 type outcome = {
   instance_values : ((int * int) * float) list;
@@ -25,141 +24,11 @@ type chans = {
 
 let default_channel_capacity = 256
 
-let check_pair ~loop ~program =
+let finalize ~loop ~program ~results =
   if not (Ast.is_flat loop) then invalid_arg "Value_run: loop must be flat";
   let stmts = Array.of_list (Ast.assignments loop) in
   if Array.length stmts <> Graph.node_count program.Program.graph then
     invalid_arg "Value_run: statement/node count mismatch";
-  stmts
-
-(* The per-processor instruction loop, parameterised over the channel
-   backend: [run] plugs in the in-process {!Mesh}, [Mimd_dist] plugs in
-   a socket mesh, and the instruction semantics stay byte-identical. *)
-let worker_with ~init ~scalars ~stmts ~resolve ~tick ~program ~proc:j ~chans () =
-  (* Shared-nothing by discipline: everything below is this worker's
-     private state; values cross processors only through [chans].
-     The local store is sized from the PE's instruction count (every
-     instruction defines at most one instance) so large trip counts
-     don't rehash mid-run, and computed values fill a preallocated
-     array instead of consing a list per compute. *)
-  let local : (int * int, float) Hashtbl.t =
-    Hashtbl.create (max 16 (Program.proc_instruction_count program j))
-  in
-  let computed = Array.make (max 1 (Program.compute_count program j)) ((0, 0), 0.0) in
-  let ncomputed = ref 0 in
-  let sent = ref 0 in
-  (* Hoisted so the untraced path keeps its straight-line loop: per-op
-     spans (and their args) are only built when a capture is live. *)
-  let traced = Trace.is_enabled () in
-  if traced then Trace.set_thread_name (Printf.sprintf "PE%d" j);
-  let exec instr =
-    match instr with
-    | Program.Compute { node; iter } ->
-        let _, _, rhs = stmts.(node) in
-        let read array offset =
-          match resolve node array offset with
-          | Some (s', delta) when iter - delta >= 0 -> begin
-            match Hashtbl.find_opt local (s', iter - delta) with
-            | Some v -> v
-            | None ->
-              (* A missing operand is a codegen bug; reading initial
-                 memory here would mask it, so fail loudly. *)
-              invalid_arg
-                (Printf.sprintf
-                   "Value_run: PE%d computing (%d,%d) lacks operand (%d,%d) for %s" j
-                   node iter s' (iter - delta) array)
-          end
-          | Some _ | None -> init array (Interp.cell_index array ~iter ~offset)
-        in
-        let v = Interp.eval_expr_with ~read ~scalars rhs in
-        Hashtbl.replace local (node, iter) v;
-        computed.(!ncomputed) <- ((node, iter), v);
-        incr ncomputed
-      | Program.Send { tag; dst } ->
-        let key = (tag.Program.node, tag.Program.iter) in
-        let v =
-          match Hashtbl.find_opt local key with
-          | Some v -> v
-          | None -> invalid_arg "Value_run: send before compute (malformed program)"
-        in
-        chans.send ~dst ~tag:key (Single v);
-        incr sent
-    | Program.Send_pack { tags = (rep :: _) as tags; dst } ->
-      (* one frame, one message: the head tag names it on the wire *)
-      let pairs =
-        Array.of_list
-          (List.map
-             (fun (t : Program.tag) ->
-               match Hashtbl.find_opt local (t.node, t.iter) with
-               | Some v -> ((t.node, t.iter), v)
-               | None ->
-                 invalid_arg "Value_run: send before compute (malformed program)")
-             tags)
-      in
-      chans.send ~dst ~tag:(rep.Program.node, rep.Program.iter) (Pack pairs);
-      incr sent
-    | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src } ->
-      let key = (tag.Program.node, tag.Program.iter) in
-      (match chans.recv ~src ~tag:key with
-      | Single v -> Hashtbl.replace local key v
-      | Pack pairs -> Array.iter (fun (inst, v) -> Hashtbl.replace local inst v) pairs)
-    | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ } ->
-      invalid_arg "Value_run: empty pack"
-  in
-  List.iter
-    (fun instr ->
-      (if traced then begin
-         let name, args =
-           match instr with
-           | Program.Compute { node; iter } ->
-             ( "run.compute",
-               [ ("node", string_of_int node); ("iter", string_of_int iter) ] )
-           | Program.Send { tag; dst } ->
-             ( "run.send",
-               [
-                 ("node", string_of_int tag.Program.node);
-                 ("iter", string_of_int tag.Program.iter);
-                 ("pe", string_of_int j);
-                 ("dst", string_of_int dst);
-               ] )
-           | Program.Recv { tag; src } ->
-             ( "run.recv",
-               [
-                 ("node", string_of_int tag.Program.node);
-                 ("iter", string_of_int tag.Program.iter);
-                 ("pe", string_of_int j);
-                 ("src", string_of_int src);
-               ] )
-           | Program.Send_pack { tags; dst } ->
-             ( "run.send",
-               [
-                 ("tags", string_of_int (List.length tags));
-                 ("pe", string_of_int j);
-                 ("dst", string_of_int dst);
-               ] )
-           | Program.Recv_pack { tags; src } ->
-             ( "run.recv",
-               [
-                 ("tags", string_of_int (List.length tags));
-                 ("pe", string_of_int j);
-                 ("src", string_of_int src);
-               ] )
-         in
-         Trace.span ~cat:"run" ~args name (fun () -> exec instr)
-       end
-       else exec instr);
-      tick ())
-    program.Program.programs.(j);
-  (Array.to_list (Array.sub computed 0 !ncomputed), !sent)
-
-let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(tick = ignore)
-    ~loop ~program ~proc ~chans () =
-  let stmts = check_pair ~loop ~program in
-  let resolve = Value_exec.resolver stmts in
-  worker_with ~init ~scalars ~stmts ~resolve ~tick ~program ~proc ~chans ()
-
-let finalize ~loop ~program ~results =
-  let stmts = check_pair ~loop ~program in
   let values : (int * int, float) Hashtbl.t = Hashtbl.create 1024 in
   let messages = ref 0 in
   Array.iter
@@ -199,34 +68,6 @@ let finalize ~loop ~program ~results =
     domain_wall_ns;
     makespan_ns = Array.fold_left max 0.0 domain_wall_ns;
   }
-
-let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
-    ?(channel_capacity = default_channel_capacity) ~loop ~program () =
-  let stmts = check_pair ~loop ~program in
-  let graph = program.Program.graph in
-  let resolve = Value_exec.resolver stmts in
-  let mesh = Mesh.create ~procs:program.Program.processors ~capacity:channel_capacity in
-  let t0 = Unix.gettimeofday () in
-  let worker ~proc:j ~tick =
-    let stash = Mesh.stash mesh in
-    let chans =
-      {
-        send = (fun ~dst ~tag v -> Mesh.send mesh ~src:j ~dst ~tag v);
-        recv = (fun ~src ~tag -> Mesh.recv_tag mesh stash ~src ~dst:j ~tag);
-      }
-    in
-    let computed, sent =
-      worker_with ~init ~scalars ~stmts ~resolve ~tick ~program ~proc:j ~chans ()
-    in
-    let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    (computed, sent, wall_ns)
-  in
-  let results =
-    Domains.run ?watchdog ~graph ~programs:program.Program.programs
-      ~cancel_all:(fun () -> Mesh.cancel_all mesh)
-      ~worker ()
-  in
-  finalize ~loop ~program ~results
 
 let check_against_sequential ?init ?scalars ~loop ~iterations outcome =
   Value_exec.check_final ?init ?scalars ~loop ~iterations ~final:outcome.final ()

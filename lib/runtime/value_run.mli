@@ -1,17 +1,14 @@
-(** Value-carrying execution of a compiled program on real OCaml 5
-    domains — the runtime counterpart of {!Mimd_sim.Value_exec}.
+(** The contract shared by every real executor of a compiled program:
+    what a processor's channel backend provides ({!chans}), what
+    travels on it ({!payload}), and how the per-processor results fold
+    into one {!outcome}.
 
-    One domain per scheduled processor executes its instruction stream
-    over a concrete float store: a [Compute] for statement [s] at
-    iteration [i] evaluates the statement's right-hand side against
-    the domain's {e local} store (operands resolved by the shared
-    reaching-definition {!Mimd_sim.Value_exec.resolver}, initial
-    memory addressed via {!Mimd_loop_ir.Interp.cell_index}); a [Send]
-    ships the produced value through a bounded {!Channel} to the
-    consuming domain; a [Recv] blocks until it arrives.  No memory is
-    shared between domains — every cross-processor value travels in a
-    message, exactly as on the paper's asynchronous shared-nothing
-    MIMD machine.
+    {!Exec_compiled} runs each processor's program against these
+    channels on OCaml 5 domains over the in-process {!Mesh}; the
+    [Mimd_dist] runner runs the same worker in forked processes over
+    Unix or TCP sockets.  No memory is shared between processors —
+    every cross-processor value travels in a message, exactly as on
+    the paper's asynchronous shared-nothing MIMD machine.
 
     Determinism: the value computed for each instance is independent
     of interleaving (messages are matched by instance tag), so the
@@ -34,21 +31,11 @@ type outcome = {
 }
 
 val default_channel_capacity : int
-(** Per-channel message bound used by {!run} when [?channel_capacity]
-    is omitted.  Exposed so independent auditors (notably
+(** Per-channel message bound the executors use when
+    [?channel_capacity] is omitted.  Exposed so independent auditors (notably
     {!Mimd_check.Validate.program}'s token simulation) and alternative
     channel backends (the socket mesh in [Mimd_dist]) model the same
     bound the real mesh enforces. *)
-
-(** {1 Channel-agnostic execution}
-
-    The instruction semantics above do not depend on {e how} a value
-    crosses processors.  [worker] runs one processor's instruction
-    stream against any channel backend; [finalize] folds the
-    per-processor results into an {!outcome}.  {!run} is exactly
-    [worker] over the in-process {!Mesh} plus [finalize]; [Mimd_dist]
-    is the same [worker] over forked processes and Unix-domain
-    sockets. *)
 
 type payload =
   | Single of float  (** a plain [Send]'s value *)
@@ -67,48 +54,18 @@ type chans = {
 }
 (** What a channel backend provides to one worker. *)
 
-val worker :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
-  ?tick:(unit -> unit) ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  program:Mimd_codegen.Program.t ->
-  proc:int ->
-  chans:chans ->
-  unit ->
-  ((int * int) * float) list * int
-(** Execute processor [proc]'s stream of [program] over [chans];
-    returns (computed instance values, messages sent).  [tick] is
-    called after every instruction (watchdog progress hook).
-    @raise Invalid_argument as {!run} does on malformed pairs. *)
-
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
   results:(((int * int) * float) list * int * float) array ->
   outcome
 (** Fold per-processor [(computed, sent, wall_ns)] triples — one per
-    processor, in processor order — into an {!outcome} using the same
-    last-writer merge as {!run}. *)
-
-val run :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
-  ?watchdog:Watchdog.config ->
-  ?channel_capacity:int ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  program:Mimd_codegen.Program.t ->
-  unit ->
-  outcome
-(** Execute [program] on [program.processors] fresh domains.  [loop]
-    must be flat and its assignment count must match the program's
-    graph node count.
-    @raise Invalid_argument on a malformed loop/program pair (including
-    a [Compute] whose operand never arrived — surfaced via [Failure]
-    naming the domain).
-    @raise Watchdog.Runtime_deadlock when execution stalls for the
-    watchdog's timeout (default 5s; pass {!Watchdog.off} to wait
-    indefinitely). *)
+    processor, in processor order — into an {!outcome}: every cell of
+    the final memory takes the value of its last writer in sequential
+    (iteration, body position) order, the same fold as
+    {!Mimd_sim.Value_exec}.
+    @raise Invalid_argument when [loop] is not flat or its assignment
+    count differs from the program's graph node count. *)
 
 val check_against_sequential :
   ?init:(string -> int -> float) ->

@@ -279,8 +279,10 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run ~validate:true schedule)
 
-let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop =
-  let flat, program = compile ~p ~k ~iterations loop in
+(* Run [program] on forked processes and require its final memory
+   bit-identical to the sequential interpreter and its instance values
+   and final memory identical to the simulator's value execution. *)
+let check_vs_oracles ~name ?(k = 2) ?transport ~iterations ~loop:flat program =
   let outcome = Runner.run ?transport ~loop:flat ~program () in
   (match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
   | Ok () -> ()
@@ -291,6 +293,10 @@ let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop
   if sim.Value_exec.final <> outcome.Value_run.final then
     Alcotest.failf "%s: socket final memory differs from Value_exec" name;
   check_bool (name ^ ": forked >= 1 process") true (outcome.Value_run.domains >= 1)
+
+let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop =
+  let flat, program = compile ~p ~k ~iterations loop in
+  check_vs_oracles ~name ~k ?transport ~iterations ~loop:flat program
 
 let test_runner_paper_workloads () =
   List.iter
@@ -325,10 +331,9 @@ let test_runner_random_sweep () =
   done
 
 let test_runner_compiled_pack_delivery () =
-  (* Satellite of the compiled backend: pack frames over the socket
-     transport, delivered into compiled slots and read iterations
-     later, must agree bit for bit with the interpreted executor and
-     the sequential interpreter. *)
+  (* Pack frames over the socket transport, delivered into compiled
+     slots and read iterations later, must agree bit for bit with the
+     simulator and the sequential interpreter. *)
   let loop = Parser.parse Mimd_workloads.Elliptic.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
   let packed, _stats = Mimd_codegen.Comm_opt.run ~window:6 program in
@@ -340,14 +345,7 @@ let test_runner_compiled_pack_delivery () =
       packed.Mimd_codegen.Program.programs
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
-  let compiled = Runner.run ~exec:`Compiled ~loop:flat ~program:packed () in
-  let interp = Runner.run ~exec:`Interp ~loop:flat ~program:packed () in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "socket compiled vs interp: %s" e);
-  check_bool "socket: compiled == interpreted, every instance" true
-    (compiled.Value_run.instance_values = interp.Value_run.instance_values
-    && compiled.Value_run.final = interp.Value_run.final)
+  check_vs_oracles ~name:"socket packed ewf" ~iterations:30 ~loop:flat packed
 
 let no_children_left () =
   (* The reap contract: after any runner return or failure there must
@@ -355,6 +353,19 @@ let no_children_left () =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
   | _ -> false
+
+let test_runner_lowered_form_mismatch () =
+  (* A lowered form built for another processor count is refused in
+     the parent, before any fork, with Exec_compiled.run's message. *)
+  let loop = Parser.parse Mimd_workloads.Elliptic.source in
+  let flat, program = compile ~p:2 ~iterations:8 loop in
+  let _, program3 = compile ~p:3 ~iterations:8 loop in
+  let lowered = Mimd_runtime.Lower.run ~loop:flat ~program:program3 () in
+  (match Runner.run ~exec:(`Compiled_form lowered) ~loop:flat ~program () with
+  | _ -> Alcotest.fail "mismatched lowered form was accepted"
+  | exception Invalid_argument m ->
+    check_string "message" "Runner.run: lowered form is for another program" m);
+  check_bool "nothing was forked" true (no_children_left ())
 
 let test_runner_kill_child () =
   (* A long enough run that the SIGKILL lands mid-execution.  Either
@@ -992,4 +1003,6 @@ let suite =
     Alcotest.test_case "router: retune broadcast re-prices hot loops" `Quick
       test_router_retune;
     Alcotest.test_case "router: retune validation" `Quick test_router_retune_validation;
+    Alcotest.test_case "runner: mismatched lowered form refused pre-fork" `Quick
+      test_runner_lowered_form_mismatch;
   ]

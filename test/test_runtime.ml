@@ -1,7 +1,7 @@
-(* Real-domain runtime: differential correctness against the
-   sequential interpreter (gold standard) and the value-carrying
-   simulator, channel/mesh mechanics, watchdog deadlock detection and
-   the schedule cache. *)
+(* Real-domain runtime: differential correctness of the compiled
+   executor against the sequential interpreter (gold standard) and the
+   value-carrying simulator, channel/mesh mechanics, watchdog deadlock
+   detection, the lowered form and the schedule cache. *)
 
 open Helpers
 module Ast = Mimd_loop_ir.Ast
@@ -14,7 +14,6 @@ module Links = Mimd_sim.Links
 module Channel = Mimd_runtime.Channel
 module Watchdog = Mimd_runtime.Watchdog
 module Value_run = Mimd_runtime.Value_run
-module Timed_run = Mimd_runtime.Timed_run
 module Schedule_cache = Mimd_runtime.Schedule_cache
 module Lower = Mimd_runtime.Lower
 module Exec_compiled = Mimd_runtime.Exec_compiled
@@ -55,7 +54,7 @@ let test_channel_cancel_unblocks () =
     (match Channel.send ch 1 with () -> false | exception Channel.Cancelled -> true)
 
 (* ---------------------------------------------------------------- *)
-(* Differential execution: runtime = Interp = Value_exec              *)
+(* Differential execution: Exec_compiled = Interp = Value_exec        *)
 
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
@@ -64,20 +63,25 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run schedule)
 
-let differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
-  let flat, program = compile ~p ~k ~iterations loop in
-  let runtime = Value_run.run ~loop:flat ~program () in
-  (* vs the sequential interpreter (gold standard) *)
-  (match Value_run.check_against_sequential ~loop:flat ~iterations runtime with
+(* The one differential: run [program] on the compiled executor and
+   require its final memory bit-identical to the sequential interpreter
+   (gold standard) and its instance values and final memory identical
+   to the simulator's value execution. *)
+let check_vs_oracles ~name ?(k = 2) ?watchdog ~iterations ~loop program =
+  let runtime = Exec_compiled.run ?watchdog ~loop ~program () in
+  (match Value_run.check_against_sequential ~loop ~iterations runtime with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: runtime vs interp: %s" name e);
-  (* vs the simulator's value execution, instance by instance *)
-  let sim = Value_exec.run ~loop:flat ~program ~links:(Links.fixed k) () in
+  let sim = Value_exec.run ~loop ~program ~links:(Links.fixed k) () in
   if sim.Value_exec.instance_values <> runtime.Value_run.instance_values then
     Alcotest.failf "%s: runtime instance values differ from Value_exec" name;
   if sim.Value_exec.final <> runtime.Value_run.final then
     Alcotest.failf "%s: runtime final memory differs from Value_exec" name;
   check_bool (name ^ ": ran on >= 1 domain") true (runtime.Value_run.domains >= 1)
+
+let differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
+  let flat, program = compile ~p ~k ~iterations loop in
+  check_vs_oracles ~name ~k ~iterations ~loop:flat program
 
 let test_differential_paper_workloads () =
   List.iter
@@ -130,10 +134,7 @@ let test_full_sched_programs () =
   let machine = machine ~p:2 ~k:2 () in
   let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations:15 () in
   let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
-  let runtime = Value_run.run ~loop ~program () in
-  match Value_run.check_against_sequential ~loop ~iterations:15 runtime with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "full-sched program: %s" e
+  check_vs_oracles ~name:"full-sched program" ~iterations:15 ~loop program
 
 (* ---------------------------------------------------------------- *)
 (* Watchdog                                                           *)
@@ -144,6 +145,9 @@ let test_watchdog_detects_deadlock () =
      snapshots), not hang. *)
   let loop = Parser.parse "for i = 1 to n { X[i] = X[i-1] + 1; Y[i] = X[i] * 2; }" in
   let flat, program = compile ~k:0 ~iterations:10 loop in
+  (* intact, the same program agrees with the oracles: the stall below
+     is the dropped message's doing *)
+  check_vs_oracles ~name:"intact program" ~k:0 ~iterations:10 ~loop:flat program;
   let dropped = ref false in
   let programs =
     Array.map
@@ -159,7 +163,7 @@ let test_watchdog_detects_deadlock () =
   let broken = { program with Program.programs } in
   let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
   let t0 = Unix.gettimeofday () in
-  match Value_run.run ~watchdog ~loop:flat ~program:broken () with
+  match Exec_compiled.run ~watchdog ~loop:flat ~program:broken () with
   | _ -> Alcotest.fail "broken program terminated normally"
   | exception Watchdog.Runtime_deadlock stall ->
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -175,32 +179,8 @@ let test_watchdog_quiet_on_healthy_run () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
   let flat, program = compile ~iterations:30 loop in
   let watchdog = Watchdog.config ~timeout:30.0 () in
-  let outcome = Value_run.run ~watchdog ~loop:flat ~program () in
-  check_bool "finished" true (outcome.Value_run.instance_values <> [])
-
-(* ---------------------------------------------------------------- *)
-(* Timed dry run                                                      *)
-
-let test_timed_run_counts_cycles () =
-  let loop = Parser.parse Mimd_workloads.Fig7.source in
-  let _, program = compile ~iterations:25 loop in
-  let out = Timed_run.run ~program () in
-  let graph = program.Program.graph in
-  let expected =
-    Array.fold_left
-      (fun acc prog ->
-        List.fold_left
-          (fun acc instr ->
-            match instr with
-            | Program.Compute { node; _ } -> acc + Mimd_ddg.Graph.latency graph node
-            | _ -> acc)
-          acc prog)
-      0 program.Program.programs
-  in
-  check_int "busy cycles = total scheduled latency" expected
-    (Array.fold_left ( + ) 0 out.Timed_run.busy_cycles);
-  check_int "one domain per processor" program.Program.processors out.Timed_run.domains;
-  check_bool "wall clock measured" true (out.Timed_run.makespan_ns > 0.0)
+  check_vs_oracles ~name:"fig7 under the watchdog" ~watchdog ~iterations:30 ~loop:flat
+    program
 
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
@@ -280,43 +260,12 @@ let test_lower_shape () =
   in
   check_bool "initial-memory read is a prefilled slot" true prefills
 
-let compiled_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
-  let flat, program = compile ~p ~k ~iterations loop in
-  let compiled = Exec_compiled.run ~loop:flat ~program () in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations compiled with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: compiled vs interp: %s" name e);
-  let interp = Value_run.run ~loop:flat ~program () in
-  if compiled.Value_run.instance_values <> interp.Value_run.instance_values then
-    Alcotest.failf "%s: compiled instance values differ from interpreted" name;
-  if compiled.Value_run.final <> interp.Value_run.final then
-    Alcotest.failf "%s: compiled final memory differs from interpreted" name
-
-let test_compiled_differential_workloads () =
-  List.iter
-    (fun (name, src) -> compiled_differential ~name (Parser.parse src))
-    [
-      ("fig1", Mimd_workloads.Fig1.source);
-      ("fig7", Mimd_workloads.Fig7.source);
-      ("elliptic", Mimd_workloads.Elliptic.source);
-    ];
-  compiled_differential ~name:"ewf p=4" ~p:4
-    (Parser.parse Mimd_workloads.Elliptic.source)
-
-let test_compiled_differential_random () =
-  for seed = 1 to 12 do
-    let loop = Mimd_workloads.Random_loop.generate_loop ~seed () in
-    compiled_differential ~name:(Printf.sprintf "seed %d" seed)
-      ~p:(2 + (seed mod 3)) ~iterations:10 loop
-  done
-
 let test_compiled_pack_delivery () =
   (* Satellite: values delivered inside a coalesced pack land in their
      slots and survive until reads many iterations later.  ewf under a
      wide coalescing window produces Recv_pack frames whose extra
-     values are consumed well after the head's iteration; the compiled
-     and interpreted executors must agree bit for bit on every
-     instance, on both programs. *)
+     values are consumed well after the head's iteration; the executor
+     must agree with the simulator bit for bit on every instance. *)
   let loop = Parser.parse Mimd_workloads.Elliptic.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
   let packed, stats = Mimd_codegen.Comm_opt.run ~window:6 program in
@@ -330,14 +279,7 @@ let test_compiled_pack_delivery () =
       packed.Program.programs
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
-  let compiled = Exec_compiled.run ~loop:flat ~program:packed () in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "packed compiled vs interp: %s" e);
-  let interp = Value_run.run ~loop:flat ~program:packed () in
-  check_bool "packed: compiled == interpreted, every instance" true
-    (compiled.Value_run.instance_values = interp.Value_run.instance_values
-    && compiled.Value_run.final = interp.Value_run.final)
+  check_vs_oracles ~name:"packed ewf" ~iterations:30 ~loop:flat packed
 
 let test_stale_slot_must_fail () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
@@ -392,15 +334,10 @@ let suite =
     Alcotest.test_case "watchdog: broken program raises Runtime_deadlock" `Quick
       test_watchdog_detects_deadlock;
     Alcotest.test_case "watchdog: silent on healthy runs" `Quick test_watchdog_quiet_on_healthy_run;
-    Alcotest.test_case "timed run: cycle accounting" `Quick test_timed_run_counts_cycles;
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;
     Alcotest.test_case "schedule cache: key semantics" `Quick test_schedule_cache_key_semantics;
     Alcotest.test_case "schedule cache: bounded + clear" `Quick test_schedule_cache_eviction;
     Alcotest.test_case "compiled exec: lowered form shape" `Quick test_lower_shape;
-    Alcotest.test_case "compiled exec: differential on paper workloads" `Quick
-      test_compiled_differential_workloads;
-    Alcotest.test_case "compiled exec: differential on random loops" `Quick
-      test_compiled_differential_random;
     Alcotest.test_case "compiled exec: pack delivery into slots" `Quick
       test_compiled_pack_delivery;
     Alcotest.test_case "compiled exec: stale-slot sabotage is caught" `Quick
