@@ -45,11 +45,10 @@ type dist_stats = {
   mutable domain_rtt_ns : float;
 }
 
-let dist_compile ~src ~processors ~k ~iterations =
-  let loop = Mimd_loop_ir.Parser.parse src in
-  let flat = if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-  let machine = Config.make ~processors ~comm_estimate:k in
+let dist_compile ~src ~machine ~iterations =
+  let { Mimd_loop_ir.Depend.loop = flat; graph; _ } =
+    Mimd_loop_ir.Depend.analyze (Mimd_loop_ir.Parser.parse src)
+  in
   let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule)
 
@@ -79,7 +78,9 @@ let dist_socket_part () =
         List.map
           (fun d_procs ->
             let d_loop, d_program =
-              dist_compile ~src ~processors:d_procs ~k:assumed_k ~iterations:d_iterations
+              dist_compile ~src
+                ~machine:(Config.make ~processors:d_procs ~comm_estimate:assumed_k)
+                ~iterations:d_iterations
             in
             let outcome = Mimd_dist.Runner.run ~loop:d_loop ~program:d_program () in
             {
@@ -138,7 +139,9 @@ let comm_opt_part ~assumed_k ~effective_k () =
           List.map
             (fun co_k ->
               let loop, program =
-                dist_compile ~src ~processors:co_procs ~k:co_k ~iterations:co_iterations
+                dist_compile ~src
+                  ~machine:(Config.make ~processors:co_procs ~comm_estimate:co_k)
+                  ~iterations:co_iterations
               in
               let opt, stats =
                 Mimd_codegen.Comm_opt.run ~window:comm_opt_window program
@@ -279,7 +282,9 @@ let dist_tcp_part () =
         List.map
           (fun tc_procs ->
             let loop, program =
-              dist_compile ~src ~processors:tc_procs ~k:2 ~iterations:tc_iterations
+              dist_compile ~src
+                ~machine:(Config.make ~processors:tc_procs ~comm_estimate:2)
+                ~iterations:tc_iterations
             in
             let median transport =
               exec_median_makespan ~runs:exec_runs (fun () ->
@@ -297,7 +302,8 @@ let dist_tcp_part () =
   in
   let respawn_clean_ns, respawn_recovered_ns =
     let loop, program =
-      dist_compile ~src:W.Elliptic.source ~processors:2 ~k:2 ~iterations:500
+      dist_compile ~src:W.Elliptic.source
+        ~machine:(Config.make ~processors:2 ~comm_estimate:2) ~iterations:500
     in
     let time run =
       let t0 = Mimd_obs.Clock.now_ns () in
@@ -382,15 +388,6 @@ let median_of ~runs f =
   Array.sort compare samples;
   samples.(runs / 2)
 
-let tune_compile ~src ~machine ~iterations =
-  let loop = Mimd_loop_ir.Parser.parse src in
-  let flat =
-    if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-  in
-  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-  let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations () in
-  (flat, Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule)
-
 let tune_part ~assumed_k () =
   let module Calibrate = Mimd_tune.Calibrate in
   let module Incr = Mimd_tune.Incr in
@@ -426,7 +423,7 @@ let tune_part ~assumed_k () =
     List.map
       (fun (t_kernel, src, t_iterations) ->
         let sock machine =
-          let loop, program = tune_compile ~src ~machine ~iterations:t_iterations in
+          let loop, program = dist_compile ~src ~machine ~iterations:t_iterations in
           (Mimd_dist.Runner.run ~loop ~program ()).Mimd_runtime.Value_run.makespan_ns
         in
         {
@@ -1005,7 +1002,10 @@ let quick () =
      rewrite must keep cutting messages by >= 20% here. *)
   List.iter
     (fun (kernel, src) ->
-      let _, program = dist_compile ~src ~processors:2 ~k:2 ~iterations:60 in
+      let _, program =
+        dist_compile ~src ~machine:(Config.make ~processors:2 ~comm_estimate:2)
+          ~iterations:60
+      in
       let opt, stats = Mimd_codegen.Comm_opt.run ~window:comm_opt_window program in
       let links = Mimd_sim.Links.fixed 2 in
       let before = Mimd_sim.Exec.run ~program ~links () in
@@ -1029,7 +1029,10 @@ let quick () =
      mesh, checked against the sequential interpreter (the value, not
      the time, is gated).  No forking: quick mode may spawn domains
      freely. *)
-  (let loop, program = dist_compile ~src:W.Elliptic.source ~processors:2 ~k:2 ~iterations:1000 in
+  (let loop, program =
+     dist_compile ~src:W.Elliptic.source
+       ~machine:(Config.make ~processors:2 ~comm_estimate:2) ~iterations:1000
+   in
    let lowered = Mimd_runtime.Lower.run ~loop ~program () in
    let outcome = Mimd_runtime.Exec_compiled.run ~lowered ~loop ~program () in
    Printf.printf "mimdloop exec-compiled ewf x1000 p=2: %.0f us\n"

@@ -77,9 +77,24 @@ let seed_t =
   let doc = "Random loop (Section 4 generator), Cyclic subset of this seed." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* [base] restricted to values above [zero]: out-of-range counts and
+   timeouts become usage errors instead of exceptions deep in the
+   pipeline. *)
+let positive ~zero base =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when v > zero -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int = positive ~zero:0 Arg.int
+let positive_float = positive ~zero:0.0 Arg.float
+
 let processors_t =
   let doc = "Processors for the Cyclic core." in
-  Arg.(value & opt int 2 & info [ "p"; "processors" ] ~docv:"P" ~doc)
+  Arg.(value & opt positive_int 2 & info [ "p"; "processors" ] ~docv:"P" ~doc)
 
 let k_t =
   let doc = "Estimated communication cost (the paper's k)." in
@@ -87,7 +102,7 @@ let k_t =
 
 let iterations_t =
   let doc = "Loop trip count for measurements." in
-  Arg.(value & opt int 100 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 100 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
 
 let machine_of processors k = Config.make ~processors ~comm_estimate:k
 
@@ -553,60 +568,6 @@ let converge_cmd =
     (Cmd.info "converge" ~doc:"Sp versus trip count (start-up transient)")
     Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t)
 
-let verify_cmd =
-  let run file iterations processors k mm =
-    match file with
-    | None ->
-      prerr_endline "mimdloop: verify needs --file";
-      1
-    | Some path -> begin
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error e ->
-        prerr_endline ("mimdloop: " ^ e);
-        1
-      | src -> begin
-        match Mimd_loop_ir.Parser.parse src with
-        | exception Mimd_loop_ir.Parser.Error m ->
-          prerr_endline ("mimdloop: parse error: " ^ m);
-          1
-        | parsed ->
-          let loop =
-            if Mimd_loop_ir.Ast.is_flat parsed then parsed
-            else Mimd_loop_ir.If_convert.run parsed
-          in
-          let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
-          let machine = machine_of processors k in
-          let schedule =
-            Cyclic_sched.schedule_iterations ~graph ~machine ~iterations ()
-          in
-          let program = Mimd_codegen.From_schedule.run schedule in
-          let links =
-            if mm <= 1 then Mimd_sim.Links.fixed k
-            else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-          in
-          let outcome = Mimd_sim.Value_exec.run ~loop ~program ~links () in
-          (match
-             Mimd_sim.Value_exec.check_against_sequential ~loop ~iterations outcome
-           with
-          | Ok () ->
-            Format.printf
-              "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
-               (%d iterations, %d PEs, makespan %d, %d messages)@."
-              iterations processors outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.makespan
-              outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.messages;
-            0
-          | Error e ->
-            Format.printf "MISMATCH: %s@." e;
-            1)
-      end
-    end
-  in
-  let mm_t = Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Fluctuation factor.") in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:"Compile a loop, run it in parallel on the simulator, and compare values against sequential execution")
-    Term.(const run $ file_t $ iterations_t $ processors_t $ k_t $ mm_t)
-
 (* Shared by run-parallel and run-dist: resolve a loop from a named
    source, a file, or the Section-4 random generator. *)
 let loop_sources =
@@ -648,22 +609,53 @@ let src_t =
   in
   Arg.(value & opt string "fig7" & info [ "src" ] ~docv:"NAME" ~doc)
 
+let verify_cmd =
+  let run file iterations processors k mm =
+    match file with
+    | None ->
+      prerr_endline "mimdloop: verify needs --file";
+      1
+    | Some _ -> begin
+      match load_loop ~src:"" ~file ~seed:None with
+      | Error e ->
+        prerr_endline ("mimdloop: " ^ e);
+        1
+      | Ok parsed ->
+        let { Mimd_loop_ir.Depend.loop; graph; _ } = Mimd_loop_ir.Depend.analyze parsed in
+        let machine = machine_of processors k in
+        let schedule = Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
+        let program = Mimd_codegen.From_schedule.run schedule in
+        let links =
+          if mm <= 1 then Mimd_sim.Links.fixed k
+          else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
+        in
+        let outcome = Mimd_sim.Value_exec.run ~loop ~program ~links () in
+        (match Mimd_sim.Value_exec.check_against_sequential ~loop ~iterations outcome with
+        | Ok () ->
+          Format.printf
+            "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
+             (%d iterations, %d PEs, makespan %d, %d messages)@."
+            iterations processors outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.makespan
+            outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.messages;
+          0
+        | Error e ->
+          Format.printf "MISMATCH: %s@." e;
+          1)
+    end
+  in
+  let mm_t = Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Fluctuation factor.") in
+  Cmd.v
+    (Cmd.info "verify"
+       ~doc:"Compile a loop, run it in parallel on the simulator, and compare values against sequential execution")
+    Term.(const run $ file_t $ iterations_t $ processors_t $ k_t $ mm_t)
+
 (* Compile a loop down to a per-processor message-passing program —
-   the front end of run-dist (run-parallel keeps its own inline copy
-   for its cache-repeat reporting).  Codegen runs with validate:true,
-   so the independent token simulation audits the message protocol
-   over whichever channel backend runs it next. *)
-let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
-  let flat =
-    if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-  in
-  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-  let full =
-    if no_cache then Full_sched.run ~graph ~machine ~iterations ()
-    else
-      Mimd_runtime.Schedule_cache.find_or_compute Mimd_runtime.Schedule_cache.global ~graph
-        ~machine ~iterations ()
-  in
+   the front end of run-parallel and run-dist.  Codegen runs with
+   validate:true, so the independent token simulation audits the
+   message protocol over whichever channel backend runs it next. *)
+let compile_for_run ?comm_opt ~loop ~machine ~iterations () =
+  let { Mimd_loop_ir.Depend.loop = flat; graph; _ } = Mimd_loop_ir.Depend.analyze loop in
+  let full = Full_sched.run ~graph ~machine ~iterations () in
   let schedule = full.Full_sched.schedule in
   if
     Graph.node_count (Schedule.graph schedule)
@@ -685,8 +677,7 @@ let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
         | Ok (opt, stats) -> Ok (flat, full, opt, Some stats)))
 
 let run_parallel_cmd =
-  let run src file seed processors k iterations repeat no_cache timeout fault comm_opt
-      comm_window trace =
+  let run src file seed processors k iterations timeout fault comm_opt comm_window trace =
     match load_loop ~src ~file ~seed with
     | Error e ->
       prerr_endline ("mimdloop: " ^ e);
@@ -694,83 +685,41 @@ let run_parallel_cmd =
     | Ok loop ->
       guard_broken_pipe @@ fun () ->
       with_trace trace @@ fun () ->
-      let flat =
-        if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-      in
-      let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
       let machine = machine_of processors k in
-      let cache = Mimd_runtime.Schedule_cache.global in
-      let sched_for m =
-        if no_cache then Full_sched.run ~graph ~machine:m ~iterations ()
-        else
-          Mimd_runtime.Schedule_cache.find_or_compute cache ~graph ~machine:m ~iterations ()
+      let comm_opt = if comm_opt then Some comm_window else None in
+      (* Deterministic fault injection, exercising the failure exits:
+         drop-send removes one message after validation and comm-opt
+         (the watchdog must fire), skew-init perturbs only the
+         runtime's initial memory and stale-slot rewires the lowered
+         form (the value differential must report a mismatch). *)
+      let inject p =
+        match fault with
+        | `None | `Skew_init | `Stale_slot -> Ok p
+        | `Drop_send ->
+          let dropped = ref false in
+          let programs =
+            Array.map
+              (List.filter (fun instr ->
+                   match instr with
+                   | Mimd_codegen.Program.Send _ when not !dropped ->
+                     dropped := true;
+                     false
+                   | _ -> true))
+              p.Mimd_codegen.Program.programs
+          in
+          if !dropped then Ok { p with Mimd_codegen.Program.programs }
+          else Error "--inject-fault drop-send: the program sends no messages"
       in
-      (* Repeated requests for the same loop exercise the cache: only
-         the first repetition actually schedules. *)
-      let full = ref (sched_for machine) in
-      let t_sched = Unix.gettimeofday () in
-      for _ = 2 to repeat do
-        full := sched_for machine
-      done;
-      let resched_ns =
-        if repeat > 1 then
-          (Unix.gettimeofday () -. t_sched) /. float_of_int (repeat - 1) *. 1e9
-        else 0.0
-      in
-      let full = !full in
-      let schedule = full.Full_sched.schedule in
-      if Graph.node_count (Schedule.graph schedule) <> List.length (Mimd_loop_ir.Ast.assignments flat)
-      then begin
-        prerr_endline
-          "mimdloop: loop needed unwinding (some dependence distance > 1); run-parallel \
-           supports distances in {0, 1} only";
+      match
+        Result.bind (compile_for_run ?comm_opt ~loop ~machine ~iterations ())
+          (fun (flat, full, program, stats) ->
+            Option.iter print_comm_stats stats;
+            Result.map (fun program -> (flat, full, program)) (inject program))
+      with
+      | Error e ->
+        prerr_endline ("mimdloop: " ^ e);
         1
-      end
-      else begin
-        match Mimd_codegen.From_schedule.run ~validate:true schedule with
-        | exception Mimd_codegen.From_schedule.Invalid_program m ->
-          prerr_endline ("mimdloop: generated program rejected by the validator: " ^ m);
-          1
-        | program ->
-        let optimized =
-          if comm_opt then optimize_program ~window:comm_window program
-          else Ok (program, { Mimd_codegen.Comm_opt.messages_before = 0;
-                              messages_after = 0; elided = 0; coalesced = 0;
-                              forwarded_values = 0 })
-        in
-        match optimized with
-        | Error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1
-        | Ok (program, comm_stats) ->
-        if comm_opt then print_comm_stats comm_stats;
-        (* Deterministic fault injection, exercising the failure exits:
-           drop-send removes one message after validation (the watchdog
-           must fire), skew-init perturbs only the runtime's initial
-           memory (the value differential must report a mismatch). *)
-        let inject p =
-          match fault with
-          | `None | `Skew_init | `Stale_slot -> Ok p
-          | `Drop_send ->
-            let dropped = ref false in
-            let programs =
-              Array.map
-                (List.filter (fun instr ->
-                     match instr with
-                     | Mimd_codegen.Program.Send _ when not !dropped ->
-                       dropped := true;
-                       false
-                     | _ -> true))
-                p.Mimd_codegen.Program.programs
-            in
-            if !dropped then Ok { p with Mimd_codegen.Program.programs }
-            else Error "--inject-fault drop-send: the program sends no messages"
-        in
-        match inject program with
-        | Error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1
-        | Ok program ->
+      | Ok (flat, full, program) -> (
         let run_init =
           match fault with
           | `Skew_init -> Some (fun a i -> Mimd_loop_ir.Interp.init a i +. 1.0)
@@ -778,28 +727,7 @@ let run_parallel_cmd =
         in
         let watchdog = Mimd_runtime.Watchdog.config ~timeout () in
         let run_backend () =
-          (* The lowered form rides the schedule cache — but only for
-             clean programs: a fault-mutated program must not poison
-             (or hit) the pristine entry. *)
-          let lowered =
-            if no_cache || fault <> `None then Mimd_runtime.Lower.run ~loop:flat ~program ()
-            else begin
-              let fingerprint =
-                Mimd_runtime.Schedule_cache.fingerprint ~graph ~machine ~iterations ()
-              in
-              let key =
-                Mimd_runtime.Schedule_cache.lowered_key
-                  ?comm_window:(if comm_opt then Some comm_window else None)
-                  ~fingerprint ~loop:flat ()
-              in
-              match Mimd_runtime.Schedule_cache.find_lowered cache ~key with
-              | Some l -> l
-              | None ->
-                let l = Mimd_runtime.Lower.run ~loop:flat ~program () in
-                Mimd_runtime.Schedule_cache.add_lowered cache ~key l;
-                l
-            end
-          in
+          let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
           let lowered =
             if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
             else lowered
@@ -836,33 +764,11 @@ let run_parallel_cmd =
             Format.printf "  simulated makespan: %d cycle(s) (static schedule: %d)@."
               sim.Mimd_sim.Exec.makespan
               (Full_sched.parallel_time full);
-            if repeat > 1 && not no_cache then
-              Format.printf "  schedule cache: %.0f ns per repeated request@." resched_ns;
-            if not no_cache then begin
-              let st = Mimd_runtime.Schedule_cache.stats cache in
-              Format.printf "  schedule cache: %d hit(s), %d miss(es), %d entr%s@."
-                st.Mimd_runtime.Schedule_cache.hits st.Mimd_runtime.Schedule_cache.misses
-                st.Mimd_runtime.Schedule_cache.entries
-                (if st.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies");
-              let lt = Mimd_runtime.Schedule_cache.lowered_stats cache in
-              Format.printf "  lowered cache: %d hit(s), %d miss(es), %d entr%s@."
-                lt.Mimd_runtime.Schedule_cache.hits lt.Mimd_runtime.Schedule_cache.misses
-                lt.Mimd_runtime.Schedule_cache.entries
-                (if lt.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies")
-            end;
             0
-        end
-      end
-  in
-  let repeat_t =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R"
-           ~doc:"Schedule the same request R times (exercises the schedule cache).")
-  in
-  let no_cache_t =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the schedule cache.")
+        end)
   in
   let timeout_t =
-    Arg.(value & opt float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
+    Arg.(value & opt positive_float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
            ~doc:"Declare a runtime deadlock after this long without progress.")
   in
   let fault_t =
@@ -885,8 +791,8 @@ let run_parallel_cmd =
        ~doc:"Execute a compiled loop on real OCaml 5 domains (one per scheduled processor) \
              and check the values against the sequential interpreter")
     Term.(
-      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ repeat_t
-      $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t $ trace_t)
+      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ timeout_t
+      $ fault_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let check_cmd =
   let module V = Mimd_check.Validate in
@@ -1213,7 +1119,7 @@ let run_dist_cmd =
      sweep can aggregate. *)
   let dist_once ?sabotage ?comm_opt ?transport ?(respawn = 0) ~loop ~machine
       ~iterations ~timeout () =
-    match compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache:false () with
+    match compile_for_run ?comm_opt ~loop ~machine ~iterations () with
     | Error e -> Error e
     | Ok (flat, _full, program, stats) -> (
       match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop:flat ~program () with

@@ -101,33 +101,45 @@ let compare_instances ~sim ~rt =
         else Ok ())
       (Ok ()) sim rt
 
+(* The front end every tier shares: flatten and analyse the case's
+   loop, schedule it, generate programs from the schedule [sched]
+   picks out of the result (by default the one the scheduler
+   produced), and require the independent token simulation to accept
+   them.  Returns the flat loop, the node names and the programs. *)
+let compile_case ?(sched = fun ~names:_ full -> Ok full.Full_sched.schedule) case =
+  let { Depend.loop; graph; _ } = Depend.analyze case.loop in
+  let names = Graph.name graph in
+  let full =
+    Full_sched.run ~graph ~machine:(machine_of_case case) ~iterations:case.iterations ()
+  in
+  let* schedule = sched ~names full in
+  let program = Mimd_codegen.From_schedule.run schedule in
+  let* () = Validate.error_of ~names (Validate.program program) in
+  Ok (loop, names, program)
+
 let check_case ?(fault = No_fault) ?(runtime = true) case =
   try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
+    let sched ~names full =
+      let sched =
+        match fault with
+        | No_fault | Keep_extra_send -> full.Full_sched.schedule
+        | Hasten_dependent -> (
+          match Validate.break_dependence full.Full_sched.schedule with
+          | Some broken -> broken
+          | None -> full.Full_sched.schedule (* nothing to break: vacuous case *))
+      in
+      (* Validation first: an injected (or real) schedule bug must be
+         reported without ever executing the broken programs. *)
+      let* () = Validate.error_of ~names (Validate.schedule sched) in
+      let* () =
+        match full.Full_sched.pattern with
+        | None -> Ok ()
+        | Some p ->
+          Validate.error_of ~names:(Graph.name p.Pattern.graph) (Validate.pattern p)
+      in
+      Ok sched
     in
-    let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
-    let sched =
-      match fault with
-      | No_fault | Keep_extra_send -> full.Full_sched.schedule
-      | Hasten_dependent -> (
-        match Validate.break_dependence full.Full_sched.schedule with
-        | Some broken -> broken
-        | None -> full.Full_sched.schedule (* nothing to break: vacuous case *))
-    in
-    let names = Graph.name graph in
-    (* Validation first: an injected (or real) schedule bug must be
-       reported without ever executing the broken programs. *)
-    let* () = Validate.error_of ~names (Validate.schedule sched) in
-    let* () =
-      match full.Full_sched.pattern with
-      | None -> Ok ()
-      | Some p -> Validate.error_of ~names:(Graph.name p.Pattern.graph) (Validate.pattern p)
-    in
-    let program = Mimd_codegen.From_schedule.run sched in
-    let* () = Validate.error_of ~names (Validate.program program) in
+    let* loop, _, program = compile_case ~sched case in
     (* Value differential on the simulator... *)
     let sim = Value_exec.run ~loop ~program ~links:(links_of_case case) () in
     let* () =
@@ -161,15 +173,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
    that coalesces. *)
 let check_exec_case ?(runtime = true) case =
   try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
-    in
-    let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
-    let names = Graph.name graph in
-    let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-    let* () = Validate.error_of ~names (Validate.program program) in
+    let* loop, _, program = compile_case case in
     let links = links_of_case case in
     let watchdog = Watchdog.config ~timeout:30.0 () in
     let differential program =
@@ -256,15 +260,7 @@ let check_comm_case ?(fault = No_fault) ?(runtime = true) ?window case =
     match window with Some w -> w | None -> 1 + (case.iterations mod 4)
   in
   try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
-    in
-    let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
-    let names = Graph.name graph in
-    let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-    let* () = Validate.error_of ~names (Validate.program program) in
+    let* loop, names, program = compile_case case in
     let comm_fault =
       match fault with
       | Keep_extra_send -> Some Mimd_codegen.Comm_opt.Keep_extra_send

@@ -39,8 +39,8 @@ val run :
   unit ->
   Value_run.outcome
 (** Execute [program] on [program.processors] fresh domains connected
-    by the in-process {!Mesh}.  [lowered] (e.g. from
-    {!Schedule_cache.find_lowered}) skips the lowering pass; omitted,
+    by the in-process {!Mesh}.  [lowered] (a {!Lower.run} of this
+    [program] done ahead of time) skips the lowering pass; omitted,
     the program is lowered here.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
     was built for a different processor count.

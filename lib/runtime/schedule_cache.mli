@@ -9,10 +9,8 @@
     override, order-insensitively), the machine (processors, estimated
     communication cost), the trip count and the strategy parameters —
     so a hit is guaranteed to be the schedule the scheduler would have
-    recomputed.  Repeated [run-parallel] invocations of the same loop
-    skip rescheduling entirely, and the compile service
-    ([Mimd_server]) uses this table as the first tier in front of its
-    on-disk store.
+    recomputed.  The compile service ([Mimd_server]) uses this table
+    as the first tier in front of its on-disk store.
 
     The cache is domain-safe (a mutex guards every operation) and
     bounded: beyond [capacity] entries the {e least recently used}
@@ -28,9 +26,6 @@ type stats = { hits : int; misses : int; entries : int; evictions : int }
 val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 128.  @raise Invalid_argument if
     [capacity < 1]. *)
-
-val global : t
-(** A process-wide cache shared by the CLI and benchmarks. *)
 
 val capacity : t -> int
 
@@ -83,28 +78,5 @@ val find_or_compute :
 
 val stats : t -> stats
 
-(** {1 Lowered-program tier}
-
-    Alongside each schedule, callers may cache the {!Lower.t} the
-    compiled executor runs — re-running a cached schedule then skips
-    the lowering pass too.  The tier is a bounded side table under the
-    same lock (capacity shared with the schedule tier, wholesale reset
-    beyond it) with its own counters. *)
-
-val lowered_key :
-  ?comm_window:int ->
-  fingerprint:string ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  unit ->
-  string
-(** The key for a lowered form: the schedule [fingerprint] extended
-    with a digest of the loop's printed source (the lowered code bakes
-    in expressions the schedule key does not pin) and, when the
-    programs went through [Comm_opt] first, the coalescing window. *)
-
-val find_lowered : t -> key:string -> Lower.t option
-val add_lowered : t -> key:string -> Lower.t -> unit
-val lowered_stats : t -> stats
-
 val clear : t -> unit
-(** Drop all entries (both tiers); [stats] counters reset too. *)
+(** Drop all entries; [stats] counters reset too. *)

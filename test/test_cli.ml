@@ -84,6 +84,35 @@ let test_run_parallel_deadlock_exits_nonzero () =
        "run-parallel --src fig7 -k 0 -n 10 --inject-fault drop-send --watchdog-timeout 0.4"
     <> 0)
 
+let test_run_parallel_stale_slot_exits_nonzero () =
+  (* stale-slot rewires one operand of the lowered form to an unwritten
+     (NaN) slot after lowering; the value differential must catch it. *)
+  check_bool "stale slot fails" true
+    (command "run-parallel --src ewf -n 20 --inject-fault stale-slot" <> 0)
+
+let test_verify_lex_error_exits_one () =
+  let path = Filename.temp_file "mimd-cli-lex" ".mimd" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "for i = 1 to n { X[i] = X[i-1] $ Y[i]; }\n");
+      check_int "lex error is a clean failure" 1
+        (command ("verify -f " ^ Filename.quote path)))
+
+let test_out_of_range_counts_are_usage_errors () =
+  (* Cmdliner reports a rejected option value with exit 124, before
+     anything runs; an uncaught exception would exit 125. *)
+  List.iter
+    (fun args -> check_int args 124 (command args))
+    [
+      "run-parallel -p 0";
+      "run-dist -p 0";
+      "run-dist --sweep 2 -n 0";
+      "fingerprint -w fig7 -n 0";
+      "run-parallel --watchdog-timeout 0";
+    ]
+
 let suite =
   [
     Alcotest.test_case "cli: executable built" `Quick test_exe_present;
@@ -99,4 +128,9 @@ let suite =
       test_run_parallel_deadlock_exits_nonzero;
     Alcotest.test_case "cli: serve --stdio roundtrip" `Quick test_serve_stdio_roundtrip;
     Alcotest.test_case "cli: batch examples corpus" `Quick test_batch_examples;
+    Alcotest.test_case "cli: run-parallel stale-slot exits non-zero" `Quick
+      test_run_parallel_stale_slot_exits_nonzero;
+    Alcotest.test_case "cli: verify lex error exits 1" `Quick test_verify_lex_error_exits_one;
+    Alcotest.test_case "cli: out-of-range -p, -n, --watchdog-timeout are usage errors" `Quick
+      test_out_of_range_counts_are_usage_errors;
   ]

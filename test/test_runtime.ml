@@ -290,36 +290,6 @@ let test_stale_slot_must_fail () =
   | Error _ -> ()  (* the NaN-poisoned slot must surface as a mismatch *)
   | Ok () -> Alcotest.fail "sabotaged lowering escaped the value differential"
 
-let test_lowered_cache () =
-  let cache = Schedule_cache.create () in
-  let loop = Parser.parse Mimd_workloads.Fig7.source in
-  let flat, program = compile ~iterations:12 loop in
-  let graph = (Depend.analyze flat).Depend.graph in
-  let machine = machine () in
-  let fingerprint = Schedule_cache.fingerprint ~graph ~machine ~iterations:12 () in
-  let key = Schedule_cache.lowered_key ~fingerprint ~loop:flat () in
-  check_bool "cold lookup misses" true (Schedule_cache.find_lowered cache ~key = None);
-  let lowered = Lower.run ~loop:flat ~program () in
-  Schedule_cache.add_lowered cache ~key lowered;
-  (match Schedule_cache.find_lowered cache ~key with
-  | Some l -> check_bool "hit is the stored form" true (l == lowered)
-  | None -> Alcotest.fail "stored lowered form not found");
-  let st = Schedule_cache.lowered_stats cache in
-  check_int "one lowered hit" 1 st.Schedule_cache.hits;
-  check_int "one lowered miss" 1 st.Schedule_cache.misses;
-  check_int "one lowered entry" 1 st.Schedule_cache.entries;
-  (* the key pins the loop source, not just the schedule fingerprint:
-     same dependence shape, different constant -> different key *)
-  let other = Parser.parse "for i = 1 to n { A[i] = A[i-1] + 2; B[i] = A[i] * 3; }" in
-  let other = if Ast.is_flat other then other else Mimd_loop_ir.If_convert.run other in
-  check_bool "loop source is part of the key" true
-    (Schedule_cache.lowered_key ~fingerprint ~loop:other () <> key);
-  check_bool "comm window is part of the key" true
-    (Schedule_cache.lowered_key ~comm_window:4 ~fingerprint ~loop:flat () <> key);
-  Schedule_cache.clear cache;
-  check_int "clear empties the lowered tier" 0
-    (Schedule_cache.lowered_stats cache).Schedule_cache.entries
-
 let suite =
   [
     Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
@@ -342,5 +312,4 @@ let suite =
       test_compiled_pack_delivery;
     Alcotest.test_case "compiled exec: stale-slot sabotage is caught" `Quick
       test_stale_slot_must_fail;
-    Alcotest.test_case "compiled exec: lowered cache tier" `Quick test_lowered_cache;
   ]
