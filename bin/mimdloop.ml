@@ -676,6 +676,19 @@ let compile_for_run ?comm_opt ~loop ~machine ~iterations () =
         | Error e -> Error e
         | Ok (opt, stats) -> Ok (flat, full, opt, Some stats)))
 
+(* [f ()] and how long it took, launch to return, in nanoseconds. *)
+let timed f =
+  let t0 = Mimd_obs.Clock.now_ns () in
+  let r = f () in
+  (r, Mimd_obs.Clock.now_ns () - t0)
+
+(* The whole run as the caller sees it — spawn, execution, join and
+   the final fold — next to the makespan line, which stops at the
+   last PE's last instruction. *)
+let print_run_time ns =
+  Format.printf "  end-to-end run: %.0f us (launch to finalized outcome)@."
+    (Mimd_obs.Clock.ns_to_us ns)
+
 let run_parallel_cmd =
   let run src file seed processors k iterations timeout fault comm_opt comm_window trace =
     match load_loop ~src ~file ~seed with
@@ -726,14 +739,17 @@ let run_parallel_cmd =
           | `None | `Drop_send | `Stale_slot -> None
         in
         let watchdog = Mimd_runtime.Watchdog.config ~timeout () in
+        (* Lower first, so the end-to-end time covers exactly launch
+           to finalized outcome. *)
         let run_backend () =
           let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
           let lowered =
             if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
             else lowered
           in
-          Mimd_runtime.Exec_compiled.run ?init:run_init ~watchdog ~lowered ~loop:flat
-            ~program ()
+          timed (fun () ->
+              Mimd_runtime.Exec_compiled.run ?init:run_init ~watchdog ~lowered ~loop:flat
+                ~program ())
         in
         match run_backend () with
         | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
@@ -742,7 +758,7 @@ let run_parallel_cmd =
         | exception Invalid_argument m ->
           prerr_endline ("mimdloop: " ^ m);
           1
-        | outcome -> begin
+        | outcome, run_ns -> begin
           match
             Mimd_runtime.Value_run.check_against_sequential ~loop:flat ~iterations outcome
           with
@@ -757,6 +773,7 @@ let run_parallel_cmd =
             Format.printf "  messages: %d, wall-clock makespan: %.0f us@."
               outcome.Mimd_runtime.Value_run.messages
               (outcome.Mimd_runtime.Value_run.makespan_ns /. 1e3);
+            print_run_time run_ns;
             Array.iteri
               (fun j ns -> Format.printf "  domain %d finished at %.0f us@." j (ns /. 1e3))
               outcome.Mimd_runtime.Value_run.domain_wall_ns;
@@ -1122,12 +1139,17 @@ let run_dist_cmd =
     match compile_for_run ?comm_opt ~loop ~machine ~iterations () with
     | Error e -> Error e
     | Ok (flat, _full, program, stats) -> (
-      match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop:flat ~program () with
+      let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
+      match
+        timed (fun () ->
+            Runner.run ?sabotage ?transport ~exec:(`Compiled_form lowered) ~respawn
+              ~timeout ~loop:flat ~program ())
+      with
       | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
-      | outcome -> (
+      | outcome, run_ns -> (
         match VR.check_against_sequential ~loop:flat ~iterations outcome with
         | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
-        | Ok () -> Ok (flat, program, stats, outcome)))
+        | Ok () -> Ok (flat, program, stats, outcome, run_ns)))
   in
   let run src file seed processors k iterations timeout probe vs_domains sweep fault
       tcp connect respawn auto_k drift_threshold comm_opt comm_window trace =
@@ -1280,7 +1302,7 @@ let run_dist_cmd =
         | Error e ->
           prerr_endline ("mimdloop: " ^ e);
           1
-        | Ok (flat, program, stats, outcome) ->
+        | Ok (flat, program, stats, outcome, run_ns) ->
           Option.iter print_comm_stats stats;
           Format.printf
             "OK: %d forked process(es)%s computed all %d iteration(s) bit-identically \
@@ -1290,6 +1312,7 @@ let run_dist_cmd =
             iterations;
           Format.printf "  messages: %d, wall-clock makespan: %.0f us@." outcome.VR.messages
             (outcome.VR.makespan_ns /. 1e3);
+          print_run_time run_ns;
           Array.iteri
             (fun j ns -> Format.printf "  process %d finished at %.0f us@." j (ns /. 1e3))
             outcome.VR.domain_wall_ns;

@@ -7,8 +7,11 @@ module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
 module Metrics = Mimd_obs.Metrics
 
+(* [values] is the worker's value array, in the order of this PE's
+   lowered [computes]; the parent holds the same lowered form, so the
+   instance names need not travel. *)
 type child_ok = {
-  computed : ((int * int) * float) list;
+  values : float array;
   sent : int;
   wall_ns : float;
   trace : Trace.captured option;
@@ -154,10 +157,10 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
           in
           Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j ~chans ()
         with
-        | computed, sent ->
+        | values, sent ->
           Ok
             {
-              computed;
+              values;
               sent;
               wall_ns = float_of_int (Clock.now_ns () - t0);
               trace = (if Trace.is_enabled () then Some (Trace.capture ()) else None);
@@ -239,6 +242,16 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
               in
               match (Wire.read fd : (report, Wire.error) result) with
               | Ok (Ok ok) ->
+                let want = Array.length lowered.Mimd_runtime.Lower.procs.(j).computes in
+                if Array.length ok.values <> want then
+                  fail
+                    (Child_error
+                       {
+                         proc = j;
+                         message =
+                           Printf.sprintf "reported %d value(s) for %d compute(s)"
+                             (Array.length ok.values) want;
+                       });
                 reports.(j) <- Some ok;
                 decr remaining;
                 ignore (reap_status j)
@@ -257,7 +270,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
   let results =
     Array.init procs (fun j ->
         match reports.(j) with
-        | Some r -> (r.computed, r.sent, r.wall_ns)
+        | Some r -> (r.values, r.sent, r.wall_ns)
         | None -> assert false)
   in
   (* Merge the children's spans into this process's capture: each
@@ -268,7 +281,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
       | Some { trace = Some c; _ } -> Trace.absorb ~tid_offset:((j + 1) * 1000) c
       | _ -> ())
     reports;
-  Value_run.finalize ~loop ~program ~results
+  Value_run.finalize ~loop ~program ~lowered ~results
 
 (* Respawn supervision for a one-shot run.  A run is a deterministic
    pure function of (loop, program, inputs), and a crashed or stalled

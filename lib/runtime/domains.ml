@@ -5,19 +5,24 @@ type 'r outcome = Done of 'r | Torn_down | Failed of string
 
 let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
   let procs = Array.length programs in
-  let progs = Array.map Array.of_list programs in
   let progress = Array.init procs (fun _ -> Atomic.make 0) in
   let finished = Atomic.make 0 in
   let names i = Graph.name graph i in
+  (* Only a stall reads the programs back; a healthy run never walks
+     them. *)
   let snapshot j =
     let retired = Atomic.get progress.(j) in
-    let prog = progs.(j) in
+    let prog = programs.(j) in
     let current =
-      if retired >= Array.length prog then None
-      else Some (Format.asprintf "%a" (Program.pp_instr ~names) prog.(retired))
+      Option.map
+        (Format.asprintf "%a" (Program.pp_instr ~names))
+        (List.nth_opt prog retired)
     in
-    { Watchdog.proc = j; retired; total = Array.length prog; current }
+    { Watchdog.proc = j; retired; total = List.length prog; current }
   in
+  (* The last domain to finish writes one byte here, so the guard
+     returns at once instead of on its next poll. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let body j () =
     let tick () = Atomic.incr progress.(j) in
     let r =
@@ -30,12 +35,13 @@ let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
         cancel_all ();
         Failed (Printexc.to_string e)
     in
-    Atomic.incr finished;
+    if Atomic.fetch_and_add finished 1 = procs - 1 then
+      ignore (Unix.write_substring wake_w "!" 0 1);
     r
   in
   let doms = Array.init procs (fun j -> Domain.spawn (body j)) in
   let verdict =
-    Watchdog.guard ~config:watchdog
+    Watchdog.guard ~config:watchdog ~wake:wake_r
       ~finished:(fun () -> Atomic.get finished = procs)
       ~progress:(fun () -> Array.fold_left (fun acc c -> acc + Atomic.get c) 0 progress)
       ~cancel:cancel_all
@@ -43,6 +49,8 @@ let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
       ()
   in
   let results = Array.map Domain.join doms in
+  Unix.close wake_r;
+  Unix.close wake_w;
   Array.iteri
     (fun j r ->
       match r with

@@ -5,7 +5,11 @@
     One domain is spawned per scheduled processor and runs that
     processor's instruction stream via the caller's [worker] callback;
     the coordinating domain meanwhile runs the {!Watchdog} over a
-    global retired-instruction counter.  Failure containment:
+    global retired-instruction counter.  The last domain to finish
+    wakes the watchdog through a pipe, so [run] returns as soon as the
+    last program ends rather than on the next poll; the programs are
+    only walked again to render snapshots when a stall is reported.
+    Failure containment:
 
     - a worker raising any exception first cancels the mesh so its
       siblings cannot block forever on messages that will never come,

@@ -7,7 +7,8 @@ module Trace = Mimd_obs.Trace
    the unboxed slot store, the evaluation stack, the computed-value
    array — so the compute path allocates nothing per instruction; only
    outbound message payloads are built on demand (they cross domains
-   and must be fresh values either way). *)
+   and must be fresh values either way).  The value array itself is
+   the result: it is in [computes] order already. *)
 let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
     ~(chans : Value_run.chans) () =
   let pc = lowered.Lower.procs.(j) in
@@ -20,8 +21,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
     pc.Lower.prefill;
   let scal = Array.map scalars lowered.Lower.scalar_names in
   let stack = Array.make pc.Lower.stack_need 0.0 in
-  let ncomputes = Array.length pc.Lower.computes in
-  let vals = Array.make ncomputes 0.0 in
+  let vals = Array.make (Array.length pc.Lower.computes) 0.0 in
   let ci = ref 0 in
   let sent = ref 0 in
   let traced = Trace.is_enabled () in
@@ -149,7 +149,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
        else exec ins);
       tick ())
     pc.Lower.instrs;
-  (List.init ncomputes (fun i -> (pc.Lower.computes.(i), vals.(i))), !sent)
+  (vals, !sent)
 
 let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar)
     ?(tick = ignore) ~lowered ~proc ~chans () =
@@ -173,15 +173,13 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
         recv = (fun ~src ~tag -> Mesh.recv_tag mesh stash ~src ~dst:j ~tag);
       }
     in
-    let computed, sent =
-      worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans ()
-    in
+    let vals, sent = worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans () in
     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    (computed, sent, wall_ns)
+    (vals, sent, wall_ns)
   in
   let results =
     Domains.run ?watchdog ~graph:program.graph ~programs:program.programs
       ~cancel_all:(fun () -> Mesh.cancel_all mesh)
       ~worker ()
   in
-  Value_run.finalize ~loop ~program ~results
+  Value_run.finalize ~loop ~program ~lowered ~results

@@ -21,11 +21,14 @@ val worker :
   proc:int ->
   chans:Value_run.chans ->
   unit ->
-  ((int * int) * float) list * int
+  float array * int
 (** Execute processor [proc]'s lowered stream over any channel backend
     (the domain {!Mesh} or the [Mimd_dist] socket mesh); returns
-    (computed instance values, messages sent), the per-processor input
-    of {!Value_run.finalize}.  [tick] is called after every
+    (computed values, messages sent), the per-processor input of
+    {!Value_run.finalize}.  The value array is the worker's own
+    preallocated store, one value per entry of [proc]'s
+    {!Lower.proc_code.computes} and in that order; nothing is built
+    per instance when the stream ends.  [tick] is called after every
     instruction (the watchdog progress hook). *)
 
 val run :

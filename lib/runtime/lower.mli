@@ -76,8 +76,9 @@ type proc_code = {
       (** (array, cell index, slot): initial-memory cells to load
           before the first instruction *)
   computes : (int * int) array;
-      (** instances this PE computes, program order — pairs with the
-          executor's value array to rebuild the computed list *)
+      (** instances this PE computes, program order — the executor's
+          value array is in this order, and {!Value_run.finalize}
+          reads it back through this array *)
   stack_need : int;
 }
 

@@ -1,7 +1,7 @@
 module Program = Mimd_codegen.Program
 module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
-module Interp = Mimd_loop_ir.Interp
+module Depend = Mimd_loop_ir.Depend
 module Value_exec = Mimd_sim.Value_exec
 
 type outcome = {
@@ -24,47 +24,110 @@ type chans = {
 
 let default_channel_capacity = 256
 
-let finalize ~loop ~program ~results =
+let finalize ~loop ~program ~(lowered : Lower.t) ~results =
   if not (Ast.is_flat loop) then invalid_arg "Value_run: loop must be flat";
   let stmts = Array.of_list (Ast.assignments loop) in
-  if Array.length stmts <> Graph.node_count program.Program.graph then
+  let nodes = Array.length stmts in
+  if nodes <> Graph.node_count program.Program.graph then
     invalid_arg "Value_run: statement/node count mismatch";
-  let values : (int * int, float) Hashtbl.t = Hashtbl.create 1024 in
-  let messages = ref 0 in
-  Array.iter
-    (fun (computed, sent, _) ->
-      messages := !messages + sent;
-      List.iter (fun (k, v) -> Hashtbl.replace values k v) computed)
+  let procs = program.Program.processors in
+  if lowered.Lower.processors <> procs then
+    invalid_arg "Value_run: lowered form is for another program";
+  if Array.length results <> procs then
+    invalid_arg
+      (Printf.sprintf "Value_run: %d result(s) for %d processor(s)" (Array.length results)
+         procs);
+  Array.iteri
+    (fun j (vals, _, _) ->
+      let want = Array.length lowered.Lower.procs.(j).Lower.computes in
+      if Array.length vals <> want then
+        invalid_arg
+          (Printf.sprintf "Value_run: PE %d returned %d value(s) for %d compute(s)" j
+             (Array.length vals) want))
     results;
-  (* Authoritative final memory: every cell takes the value of its last
-     writer in sequential (iteration, body position) order — the same
-     fold as Sim.Value_exec so the two executors are comparable
-     list-for-list. *)
-  let last_writer : (string * int, (int * int) * float) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (node, iter) v ->
-      let array, offset, _ = stmts.(node) in
-      let cell = (array, Interp.cell_index array ~iter ~offset) in
-      let better =
-        match Hashtbl.find_opt last_writer cell with
-        | None -> true
-        | Some ((i', s'), _) -> (iter, node) > (i', s')
-      in
-      if better then Hashtbl.replace last_writer cell ((iter, node), v))
-    values;
-  let final =
-    Hashtbl.fold (fun (a, i) (_, v) acc -> (a, i, v) :: acc) last_writer []
-    |> List.sort compare
+  (* Dense instance store, iteration-major: instance (node, iter) sits
+     at [(iter - lo) * nodes + node], so index order is sequential
+     (iteration, body position) order. *)
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun pc ->
+      Array.iter
+        (fun (_, i) ->
+          if i < !lo then lo := i;
+          if i > !hi then hi := i)
+        pc.Lower.computes)
+    lowered.Lower.procs;
+  let lo, iters = if !hi < !lo then (0, 0) else (!lo, !hi - !lo + 1) in
+  let inst = Array.make (iters * nodes) 0.0 in
+  let present = Bytes.make (iters * nodes) '\000' in
+  let messages = ref 0 in
+  Array.iteri
+    (fun j (vals, sent, _) ->
+      messages := !messages + sent;
+      Array.iteri
+        (fun k (node, iter) ->
+          let x = ((iter - lo) * nodes) + node in
+          inst.(x) <- vals.(k);
+          Bytes.set present x '\001')
+        lowered.Lower.procs.(j).Lower.computes)
+    results;
+  (* One dense cell range per array name, names in sorted order; a
+     fixed [@] cell is index 0 whatever the iteration. *)
+  let names =
+    Array.to_list stmts
+    |> List.map (fun (a, _, _) -> a)
+    |> List.sort_uniq String.compare |> Array.of_list
   in
-  let instance_values =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) values [] |> List.sort compare
-  in
+  let arrays = Array.length names in
+  let rec find a k = if names.(k) = a then k else find a (k + 1) in
+  let array_of = Array.map (fun (a, _, _) -> find a 0) stmts in
+  let fixed = Array.map (fun (a, _, _) -> Depend.is_fixed_cell a) stmts in
+  let cell_lo = Array.make arrays max_int and cell_hi = Array.make arrays min_int in
+  Array.iteri
+    (fun s (_, offset, _) ->
+      let a = array_of.(s) in
+      let l, h = if fixed.(s) then (0, 0) else (lo + offset, lo + iters - 1 + offset) in
+      cell_lo.(a) <- min cell_lo.(a) l;
+      cell_hi.(a) <- max cell_hi.(a) h)
+    stmts;
+  let width a = max 0 (cell_hi.(a) - cell_lo.(a) + 1) in
+  let cells = Array.init arrays (fun a -> Array.make (width a) 0.0) in
+  let written = Array.init arrays (fun a -> Bytes.make (width a) '\000') in
+  (* Last writer: one pass in sequential order, later writes win. *)
+  for it = 0 to iters - 1 do
+    for s = 0 to nodes - 1 do
+      let x = (it * nodes) + s in
+      if Bytes.get present x <> '\000' then begin
+        let a = array_of.(s) in
+        let _, offset, _ = stmts.(s) in
+        let c = if fixed.(s) then 0 else lo + it + offset - cell_lo.(a) in
+        cells.(a).(c) <- inst.(x);
+        Bytes.set written.(a) c '\001'
+      end
+    done
+  done;
+  (* Emit both lists back to front so each comes out sorted. *)
+  let final = ref [] in
+  for a = arrays - 1 downto 0 do
+    for c = Bytes.length written.(a) - 1 downto 0 do
+      if Bytes.get written.(a) c <> '\000' then
+        final := (names.(a), cell_lo.(a) + c, cells.(a).(c)) :: !final
+    done
+  done;
+  let instance_values = ref [] in
+  for s = nodes - 1 downto 0 do
+    for it = iters - 1 downto 0 do
+      let x = (it * nodes) + s in
+      if Bytes.get present x <> '\000' then
+        instance_values := ((s, lo + it), inst.(x)) :: !instance_values
+    done
+  done;
   let domain_wall_ns = Array.map (fun (_, _, ns) -> ns) results in
   {
-    instance_values;
-    final;
+    instance_values = !instance_values;
+    final = !final;
     messages = !messages;
-    domains = program.Program.processors;
+    domains = procs;
     domain_wall_ns;
     makespan_ns = Array.fold_left max 0.0 domain_wall_ns;
   }

@@ -57,15 +57,28 @@ type chans = {
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
-  results:(((int * int) * float) list * int * float) array ->
+  lowered:Lower.t ->
+  results:(float array * int * float) array ->
   outcome
-(** Fold per-processor [(computed, sent, wall_ns)] triples — one per
-    processor, in processor order — into an {!outcome}: every cell of
-    the final memory takes the value of its last writer in sequential
-    (iteration, body position) order, the same fold as
-    {!Mimd_sim.Value_exec}.
-    @raise Invalid_argument when [loop] is not flat or its assignment
-    count differs from the program's graph node count. *)
+(** Fold per-processor [(values, sent, wall_ns)] triples — one per
+    processor, in processor order, [values] in that processor's
+    [lowered] {!Lower.proc_code.computes} order — into an {!outcome}:
+    every cell of the final memory takes the value of its last writer
+    in sequential (iteration, body position) order, the same result as
+    {!Mimd_sim.Value_exec}'s fold.
+
+    Cost: linear in the instances, with no hashing and no sorting.
+    Instance values land in a flat array indexed by (iteration, node)
+    over the computed iteration span; one scan of it in index order
+    (sequential order) leaves each cell's last writer in a dense
+    per-array-name cell range (a fixed [@] cell is index 0); a scan of
+    the name-sorted arrays emits [final] and a node-major scan of the
+    instance array emits [instance_values].
+    @raise Invalid_argument when [loop] is not flat, its assignment
+    count differs from the program's graph node count, [lowered] is
+    for another processor count, [results] does not hold one entry per
+    processor, or a processor's [values] length differs from its
+    [computes] length. *)
 
 val check_against_sequential :
   ?init:(string -> int -> float) ->

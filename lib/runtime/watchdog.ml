@@ -13,13 +13,17 @@ let config ?(timeout = 5.0) ?(poll_interval = 0.01) () =
 let default = config ()
 let off = { timeout = infinity; poll_interval = 0.01 }
 
-let guard ~config ~finished ~progress ~cancel ~snapshots () =
+let guard ~config ~wake ~finished ~progress ~cancel ~snapshots () =
+  let wait () =
+    try ignore (Unix.select [ wake ] [] [] config.poll_interval)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
   let last = ref (progress ()) in
   let last_change = ref (Unix.gettimeofday ()) in
   let rec loop () =
     if finished () then `Finished
     else begin
-      Unix.sleepf config.poll_interval;
+      wait ();
       if finished () then `Finished
       else begin
         let p = progress () in

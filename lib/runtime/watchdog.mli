@@ -4,7 +4,8 @@
     can step); a real one cannot — a domain blocked in [Recv] for a
     message nobody will send just waits forever.  The watchdog runs in
     the coordinating domain while the workers execute: it polls a
-    global progress counter and, when no instruction retires anywhere
+    global progress counter (waking early when the caller signals
+    completion, see {!guard}) and, when no instruction retires anywhere
     for [timeout] seconds, cancels every channel (unblocking all
     waiters) and reports a {!stall} carrying one {!snapshot} per
     domain, which executors surface as {!Runtime_deadlock}. *)
@@ -39,6 +40,7 @@ val off : config
 
 val guard :
   config:config ->
+  wake:Unix.file_descr ->
   finished:(unit -> bool) ->
   progress:(unit -> int) ->
   cancel:(unit -> unit) ->
@@ -48,7 +50,15 @@ val guard :
 (** Poll until [finished ()] or until [progress ()] (any monotone
     counter) stops increasing for [timeout] seconds; in the latter
     case call [cancel ()] once and return the [snapshots ()].  Runs in
-    the calling domain. *)
+    the calling domain.
+
+    [wake] is the read end of a pipe the caller writes one byte to
+    right after [finished ()] turns true.  Between polls the guard
+    [select]s on it with [poll_interval] as the timeout, so it returns
+    as soon as the last worker finishes instead of on the next poll
+    boundary.  Waking never short-cuts a check: stall detection and
+    [cancel] depend only on [finished], [progress] and the clock.  The
+    guard neither reads nor closes [wake]. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 

@@ -108,3 +108,19 @@ let qtest ?(count = 100) name gen print prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~name ~count ~print gen prop)
+
+(* Edge cases for the executors' final fold.  The corpus's exp-smooth
+   kernel with a conditional counter in a fixed cell: if-conversion
+   turns the branch into selects over predicate cells, and [C\[0\]]
+   ([C@0], cell 0) gets a last writer in every iteration. *)
+let fixed_cell_loop_source =
+  "for i = 1 to n {\n\
+  \  E[i] = E[i-1] + alpha * (V[i-1] - E[i-1]);\n\
+  \  if (E[i] - limit) { E[i] = limit; C[0] = C[0] + 1; } else { O[i] = E[i]; }\n\
+   }\n"
+
+(* Whether some processor of [program] computes no instance at all. *)
+let has_idle_pe program =
+  List.exists
+    (fun j -> Mimd_codegen.Program.compute_count program j = 0)
+    (List.init program.Mimd_codegen.Program.processors Fun.id)

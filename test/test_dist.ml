@@ -953,6 +953,43 @@ let test_router_retune_validation () =
   let r = rpc c {|{"id":2,"op":"retune","k":-3}|} in
   check_bool "negative k rejected" true (member_bool "ok" r = Some false)
 
+(* ---------------------------------------------------------------- *)
+(* The dense final fold over the socket backend                       *)
+
+let test_runner_fold_edge_cases () =
+  let fixed = Parser.parse fixed_cell_loop_source in
+  dist_differential ~name:"fixed cells" ~iterations:25 fixed;
+  dist_differential ~name:"fixed cells on 1 PE" ~p:1 ~iterations:25 fixed;
+  dist_differential ~name:"ewf on 1 PE" ~p:1 ~iterations:25
+    (Parser.parse Mimd_workloads.Elliptic.source);
+  let flat, program =
+    compile ~p:4 ~iterations:20 (Parser.parse "for i = 1 to n { X[i] = X[i-1] + Y[i]; }")
+  in
+  check_bool "some PE computes nothing" true (has_idle_pe program);
+  check_vs_oracles ~name:"prefix on 4 PEs" ~iterations:20 ~loop:flat program
+
+let test_runner_refuses_misaligned_report () =
+  (* After the fork, drop one instance from the parent's copy of PE 1's
+     lowered computes: PE 1's (correct) report now carries one value
+     too many for what the parent expects, and the run must fail
+     naming PE 1 instead of folding a misaligned array. *)
+  let flat, program = compile ~iterations:12 (Parser.parse Mimd_workloads.Fig7.source) in
+  let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
+  let sabotage _pids =
+    let pc = lowered.Mimd_runtime.Lower.procs.(1) in
+    let computes = pc.Mimd_runtime.Lower.computes in
+    lowered.Mimd_runtime.Lower.procs.(1) <-
+      { pc with computes = Array.sub computes 0 (Array.length computes - 1) }
+  in
+  (match Runner.run ~sabotage ~exec:(`Compiled_form lowered) ~loop:flat ~program () with
+  | _ -> Alcotest.fail "a misaligned report was folded"
+  | exception Runner.Dist_error (Runner.Child_error { proc; message }) ->
+    check_int "the failure names PE 1" 1 proc;
+    check_bool "the message counts values" true (contains message "value(s)")
+  | exception Runner.Dist_error f ->
+    Alcotest.failf "expected Child_error, got %s" (Runner.describe f));
+  check_bool "no orphan processes" true (no_children_left ())
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1005,4 +1042,7 @@ let suite =
     Alcotest.test_case "router: retune validation" `Quick test_router_retune_validation;
     Alcotest.test_case "runner: mismatched lowered form refused pre-fork" `Quick
       test_runner_lowered_form_mismatch;
+    Alcotest.test_case "runner: dense fold edge cases" `Quick test_runner_fold_edge_cases;
+    Alcotest.test_case "runner: misaligned child report refused" `Quick
+      test_runner_refuses_misaligned_report;
   ]

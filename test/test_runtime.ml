@@ -290,6 +290,76 @@ let test_stale_slot_must_fail () =
   | Error _ -> ()  (* the NaN-poisoned slot must surface as a mismatch *)
   | Ok () -> Alcotest.fail "sabotaged lowering escaped the value differential"
 
+(* ---------------------------------------------------------------- *)
+(* Wake on completion and the dense final fold                        *)
+
+let test_watchdog_wakes_on_finish () =
+  (* A 5 s poll interval: only the last domain's wake-up can end this
+     run before the guard's first poll. *)
+  let loop = Parser.parse Mimd_workloads.Fig7.source in
+  let flat, program = compile ~iterations:30 loop in
+  let watchdog = Watchdog.config ~timeout:30. ~poll_interval:5. () in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Exec_compiled.run ~watchdog ~loop:flat ~program () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check_bool "returned long before the first poll" true (elapsed < 1.0);
+  match Value_run.check_against_sequential ~loop:flat ~iterations:30 outcome with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "woken run vs interp: %s" e
+
+let test_fold_fixed_cells () =
+  let loop = Parser.parse fixed_cell_loop_source in
+  let flat, program = compile ~iterations:25 loop in
+  check_bool "if-converted body writes a fixed cell" true
+    (List.exists (fun (a, _, _) -> Depend.is_fixed_cell a) (Ast.assignments flat));
+  check_vs_oracles ~name:"fixed cells" ~iterations:25 ~loop:flat program
+
+let test_fold_single_pe () =
+  List.iter
+    (fun (name, src) -> differential ~name ~p:1 ~iterations:25 (Parser.parse src))
+    [ ("fixed cells on 1 PE", fixed_cell_loop_source);
+      ("ewf on 1 PE", Mimd_workloads.Elliptic.source) ]
+
+let test_fold_idle_pe () =
+  let loop = Parser.parse "for i = 1 to n { X[i] = X[i-1] + Y[i]; }" in
+  let flat, program = compile ~p:4 ~iterations:20 loop in
+  check_bool "some PE computes nothing" true (has_idle_pe program);
+  check_vs_oracles ~name:"prefix on 4 PEs" ~iterations:20 ~loop:flat program
+
+(* Well-shaped placeholder results for [lowered]: one zero value per
+   compute of each PE. *)
+let blank_results (lowered : Lower.t) =
+  Array.map
+    (fun pc -> (Array.make (Array.length pc.Lower.computes) 0.0, 0, 0.0))
+    lowered.Lower.procs
+
+let finalize_refuses ~what ~loop ~program ~lowered results =
+  match Value_run.finalize ~loop ~program ~lowered ~results with
+  | _ -> Alcotest.failf "finalize accepted %s" what
+  | exception Invalid_argument _ -> ()
+
+let test_finalize_refuses_missing_pe () =
+  let flat, program = compile ~iterations:10 (Parser.parse Mimd_workloads.Fig7.source) in
+  let lowered = Lower.run ~loop:flat ~program () in
+  let results = blank_results lowered in
+  ignore (Value_run.finalize ~loop:flat ~program ~lowered ~results);
+  finalize_refuses ~what:"one result short" ~loop:flat ~program ~lowered
+    (Array.sub results 0 (Array.length results - 1))
+
+let test_finalize_refuses_misaligned_values () =
+  let flat, program = compile ~iterations:10 (Parser.parse Mimd_workloads.Fig7.source) in
+  let lowered = Lower.run ~loop:flat ~program () in
+  let with_pe0 f =
+    let results = blank_results lowered in
+    let vals, sent, ns = results.(0) in
+    results.(0) <- (f vals, sent, ns);
+    results
+  in
+  finalize_refuses ~what:"a value array one long" ~loop:flat ~program ~lowered
+    (with_pe0 (fun v -> Array.append v [| 0.0 |]));
+  finalize_refuses ~what:"a value array one short" ~loop:flat ~program ~lowered
+    (with_pe0 (fun v -> Array.sub v 0 (Array.length v - 1)))
+
 let suite =
   [
     Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
@@ -312,4 +382,13 @@ let suite =
       test_compiled_pack_delivery;
     Alcotest.test_case "compiled exec: stale-slot sabotage is caught" `Quick
       test_stale_slot_must_fail;
+    Alcotest.test_case "watchdog: wakes when the last domain finishes" `Quick
+      test_watchdog_wakes_on_finish;
+    Alcotest.test_case "fold: if-converted fixed cells" `Quick test_fold_fixed_cells;
+    Alcotest.test_case "fold: single PE" `Quick test_fold_single_pe;
+    Alcotest.test_case "fold: PE with no computes" `Quick test_fold_idle_pe;
+    Alcotest.test_case "fold: refuses a missing PE result" `Quick
+      test_finalize_refuses_missing_pe;
+    Alcotest.test_case "fold: refuses a misaligned value array" `Quick
+      test_finalize_refuses_misaligned_values;
   ]
