@@ -112,10 +112,10 @@ let machine_of processors k = Config.make ~processors ~comm_estimate:k
 let auto_k_t =
   Arg.(value & flag & info [ "auto-k" ]
          ~doc:"Calibrate the cost model first: fork a live link probe, fold the \
-               measured per-link costs into the persisted calibration file, and (where \
-               this command builds a schedule) price it with the measured matrix \
-               instead of the assumed uniform $(b,-k).  Probing forks, so it always \
-               runs before any domain or thread is spawned.")
+               measured per-link costs into the persisted calibration file, and price \
+               this command's schedule with the measured matrix instead of the assumed \
+               uniform $(b,-k).  Probing forks, so it always runs before any domain or \
+               thread is spawned.")
 
 let calib_file_t =
   Arg.(value & opt (some string) None & info [ "calib-file" ] ~docv:"FILE"
@@ -1000,7 +1000,7 @@ let jobs_t =
     "Worker domains in the compile pool (default: the runtime's recommended domain \
      count, capped at 8)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let cache_dir_t =
   let doc =
@@ -1019,14 +1019,11 @@ let validate_sched_t =
                error instead of an entry.")
 
 let queue_depth_t =
-  Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
+  Arg.(value & opt positive_int 64 & info [ "queue-depth" ] ~docv:"N"
          ~doc:"Bound on the work queue; a full queue blocks readers and accepts \
                (backpressure).")
 
-let resolve_jobs = function
-  | Some j when j >= 1 -> j
-  | Some _ -> 1
-  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
+let resolve_jobs jobs = Option.value jobs ~default:(min 8 (Domain.recommended_domain_count ()))
 
 let make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate () =
   let disk =
@@ -1042,17 +1039,9 @@ let make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate
   (server, pool)
 
 let serve_cmd =
-  let run stdio socket jobs queue_depth cache_dir no_disk_cache validate auto_k comm_opt
+  let run stdio socket jobs queue_depth cache_dir no_disk_cache validate comm_opt
       comm_window trace =
     with_streaming_trace trace @@ fun () ->
-    (* Boot-time calibration forks echo children, so it must precede
-       the pool's domain spawns just below. *)
-    if auto_k then begin
-      let _probe, calib, path = calibrate_now ~procs:2 ~calib_file:None () in
-      Printf.eprintf "mimdloop: tune: %s (saved %s)\n%!"
-        (Format.asprintf "%a" Calibrate.pp calib)
-        path
-    end;
     let comm_opt = if comm_opt then Some comm_window else None in
     let server, pool =
       make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
@@ -1086,8 +1075,7 @@ let serve_cmd =
              a two-tier (memory + disk) schedule cache, speaking newline-delimited JSON")
     Term.(
       const run $ stdio_t $ socket_t $ jobs_t $ queue_depth_t $ cache_dir_t
-      $ no_disk_cache_t $ validate_sched_t $ auto_k_t $ comm_opt_t $ comm_window_t
-      $ trace_t)
+      $ no_disk_cache_t $ validate_sched_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let batch_cmd =
   let run paths jobs queue_depth cache_dir no_disk_cache validate processors k iterations
@@ -1124,7 +1112,7 @@ let batch_cmd =
 (* The socket backend: run-dist and the sharded serve fleet (route)    *)
 
 let dist_timeout_t =
-  Arg.(value & opt float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
          ~doc:"Declare the distributed run stalled after this long without any child \
                report (the socket analogue of the runtime watchdog).")
 
@@ -1407,54 +1395,34 @@ let run_dist_cmd =
 
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir no_disk_cache
-      validate auto_k trace respawn slo_ms slo_interval drift_threshold =
-    if workers < 1 then begin
-      prerr_endline "mimdloop: route needs --workers >= 1";
-      1
-    end
-    else begin
-      (* Calibrate at boot, before the fleet forks and before the
-         router grows its reader threads (after which re-probing is
-         impossible — failover refits from live traffic instead). *)
-      if auto_k then begin
-        let _probe, calib, path =
-          calibrate_now ~procs:(max 2 workers) ~calib_file:None ()
-        in
-        Printf.eprintf "mimdloop: tune: %s (saved %s)\n%!"
-          (Format.asprintf "%a" Calibrate.pp calib)
-          path
-      end;
-      (* Streaming trace: the router sets its own sink (and each
-         worker its own file) only after the fleet has forked, so
-         children never inherit the parent's sink fd. *)
-      if Option.is_some trace then Mimd_obs.Trace.enable ();
-      let cfg =
-        {
-          Mimd_dist.Router.workers;
-          socket;
-          worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir;
-          max_inflight;
-          jobs;
-          queue_depth;
-          cache_dir =
-            (if no_disk_cache then None
-             else
-               Some (Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) cache_dir));
-          validate;
-          trace;
-          respawn = max 0 respawn;
-          slo_ms;
-          slo_interval = Float.max 0.2 slo_interval;
-          drift_threshold;
-        }
-      in
-      let code = Mimd_dist.Router.serve cfg in
-      if Option.is_some trace then Mimd_obs.Trace.disable ();
-      code
-    end
+      validate trace respawn =
+    (* Streaming trace: the router sets its own sink (and each
+       worker its own file) only after the fleet has forked, so
+       children never inherit the parent's sink fd. *)
+    if Option.is_some trace then Mimd_obs.Trace.enable ();
+    let cfg =
+      {
+        Mimd_dist.Router.workers;
+        socket;
+        worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir;
+        max_inflight;
+        jobs;
+        queue_depth;
+        cache_dir =
+          (if no_disk_cache then None
+           else
+             Some (Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) cache_dir));
+        validate;
+        trace;
+        respawn = max 0 respawn;
+      }
+    in
+    let code = Mimd_dist.Router.serve cfg in
+    if Option.is_some trace then Mimd_obs.Trace.disable ();
+    code
   in
   let workers_t =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
+    Arg.(value & opt positive_int 2 & info [ "workers" ] ~docv:"N"
            ~doc:"Size of the serve fleet: $(docv) forked worker processes, each a full \
                  compile service on its own Unix socket.")
   in
@@ -1469,7 +1437,7 @@ let route_cmd =
                  directory).")
   in
   let max_inflight_t =
-    Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N"
+    Arg.(value & opt positive_int 64 & info [ "max-inflight" ] ~docv:"N"
            ~doc:"Admission control: bound on compile requests in flight across the \
                  fleet; the excess is shed with a structured $(b,overload) error.")
   in
@@ -1480,34 +1448,15 @@ let route_cmd =
                  threads.  A fleet-wide circuit breaker refuses respawn storms.  \
                  0 disables supervision.")
   in
-  let slo_ms_t =
-    Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS"
-           ~doc:"Latency SLO: raise a structured $(b,latency) event (visible under \
-                 $(b,stats.slo)) whenever a worker's live request round trip exceeds \
-                 $(docv) milliseconds.")
-  in
-  let slo_interval_t =
-    Arg.(value & opt float 2.0 & info [ "slo-interval" ] ~docv:"SECONDS"
-           ~doc:"How often the SLO watcher inspects the live per-worker RTT \
-                 calibration.")
-  in
-  let route_drift_t =
-    Arg.(value & opt (some float) None & info [ "drift-threshold" ] ~docv:"R"
-           ~doc:"Closed-loop rescheduling: when a worker's live RTT drifts from its \
-                 baseline by more than the ratio $(docv) (either direction), broadcast \
-                 a $(b,retune) so every worker re-prices its hot compile entries at \
-                 the measured effective k.")
-  in
   Cmd.v
     (Cmd.info "route"
        ~doc:"Sharded serve fleet: a consistent-hash router in front of N forked serve \
              workers sharing one disk cache, with per-worker health, failover, respawn \
-             supervision, SLO-driven rescheduling and bounded-in-flight admission \
-             control")
+             supervision and bounded-in-flight admission control")
     Term.(
       const run $ workers_t $ socket_t $ worker_dir_t $ max_inflight_t $ jobs_t
-      $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ auto_k_t
-      $ trace_t $ respawn_t $ slo_ms_t $ slo_interval_t $ route_drift_t)
+      $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ trace_t
+      $ respawn_t)
 
 let tune_cmd =
   let run workload file seed processors k iterations probe_rounds calib_file

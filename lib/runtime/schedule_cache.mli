@@ -61,21 +61,6 @@ val add : t -> key:string -> Mimd_core.Full_sched.t -> unit
     already present is left untouched (first write wins; racing misses
     store equivalent values anyway). *)
 
-val find_or_compute :
-  ?strategy:Mimd_core.Full_sched.strategy ->
-  ?fold_tolerance:float ->
-  ?max_iterations:int ->
-  t ->
-  graph:Mimd_ddg.Graph.t ->
-  machine:Mimd_machine.Config.t ->
-  iterations:int ->
-  unit ->
-  Mimd_core.Full_sched.t
-(** Return the cached schedule for this key, or run
-    {!Mimd_core.Full_sched.run} (with identical arguments), store and
-    return it.  Exceptions from the scheduler propagate and cache
-    nothing. *)
-
 val stats : t -> stats
 
 val clear : t -> unit

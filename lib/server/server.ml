@@ -41,17 +41,6 @@ let dispatch t ~reply req =
         | Ok outcome -> reply (Protocol.Compiled { id; result = outcome.Service.result })
         | Error e -> reply (error_reply id e));
     `Continue
-  | Protocol.Retune { id; k } ->
-    Pool.submit t.pool (fun () ->
-        reply
-          (Protocol.Retuned
-             {
-               id;
-               result =
-                 Trace.span ~cat:"serve" "serve.dispatch_retune" (fun () ->
-                     Service.retune t.service ~k);
-             }));
-    `Continue
   | Protocol.Stats { id } ->
     (* Through the pool, not inline: with one worker this orders the
        stats snapshot after every compile submitted before it. *)

@@ -102,7 +102,11 @@ let test_verify_lex_error_exits_one () =
 
 let test_out_of_range_counts_are_usage_errors () =
   (* Cmdliner reports a rejected option value with exit 124, before
-     anything runs; an uncaught exception would exit 125. *)
+     anything runs; an uncaught exception would exit 125.  The route
+     socket sits under a file, so a route that did start could never
+     bind its workers and would fail rather than serve. *)
+  let examples = Filename.concat ".." (Filename.concat "examples" "loops") in
+  let route = "route --socket /dev/null/route.sock" in
   List.iter
     (fun args -> check_int args 124 (command args))
     [
@@ -111,6 +115,14 @@ let test_out_of_range_counts_are_usage_errors () =
       "run-dist --sweep 2 -n 0";
       "fingerprint -w fig7 -n 0";
       "run-parallel --watchdog-timeout 0";
+      "run-dist --timeout 0";
+      "serve --stdio --queue-depth 0";
+      "batch " ^ examples ^ " --queue-depth 0";
+      "batch " ^ examples ^ " --jobs 0";
+      route ^ " --queue-depth 0";
+      route ^ " --max-inflight 0";
+      route ^ " --workers 0";
+      route ^ " --jobs 0";
     ]
 
 let suite =

@@ -911,47 +911,63 @@ let test_router_respawn () =
   check_bool "mimd_dist_respawns_total exported" true
     (contains text "mimd_dist_respawns_total 1")
 
-let test_router_retune () =
-  (* The client-driven closed loop: compile primes a worker's hot set,
-     a retune broadcast re-prices it at the requested k, and the same
-     loop at that k is then served from the recompiled cache.  One
-     worker: the shard key includes k, so with a wider fleet the
-     retuned request could land on a cold worker. *)
+let test_router_unknown_ops () =
+  (* The router answers a fixed set of ops and forwards only compile:
+     anything else is a protocol error on that request alone, and the
+     connection keeps serving. *)
   with_router ~workers:1 @@ fun sock ->
   let c = client_connect sock in
   Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
-  let r1 = rpc c (compile_req ~id:1 ~stmt:"Y[i]") in
-  check_bool "compile ok" true (member_bool "ok" r1 = Some true);
-  let rt = rpc c {|{"id":"t","op":"retune","k":5}|} in
-  check_bool "retune ok" true (member_bool "ok" rt = Some true);
-  (match Json.member "retuned" rt with
-  | None -> Alcotest.fail "no retuned payload"
-  | Some r ->
-    check_bool "k echoed" true (member_int "k" r = Some 5);
-    check_bool "the hot entry was re-priced" true
-      (match member_int "entries" r with Some n -> n >= 1 | None -> false);
-    check_bool "recompiled at the new k" true
-      (match member_int "recompiled" r with Some n -> n >= 1 | None -> false));
-  let r2 =
-    rpc c
-      {|{"id":2,"op":"compile","loop":"for i = 1 to n { X[i] = X[i-1] + Y[i]; }","iterations":40,"k":5}|}
-  in
-  check_bool "compile at the retuned k ok" true (member_bool "ok" r2 = Some true);
-  check_bool "served from the retune-primed cache" true
-    (member_string "tier" r2 = Some "memory" || member_string "tier" r2 = Some "disk");
-  let st = stats c in
-  check_bool "retune counted" true
-    (match member_int "retunes" st with Some n -> n >= 1 | None -> false);
-  check_bool "stats carries the slo object" true (Json.member "slo" st <> None)
+  List.iter
+    (fun line ->
+      let r = rpc c line in
+      check_bool (line ^ " fails") true (member_bool "ok" r = Some false);
+      check_bool (line ^ " is a protocol error") true (error_kind r = Some "protocol"))
+    [ {|{"id":1,"op":"retune","k":5}|}; {|{"id":2,"op":"frobnicate"}|} ];
+  check_bool "ping still answered" true
+    (member_bool "ok" (rpc c {|{"id":"p","op":"ping"}|}) = Some true)
 
-let test_router_retune_validation () =
-  with_router ~workers:1 @@ fun sock ->
+let test_router_respawn_events () =
+  (* A respawn is listed under stats.respawn.events with the slot it
+     refilled and the pid of the new worker. *)
+  with_router ~workers:2 ~extra:[ "--respawn"; "1" ] @@ fun sock ->
   let c = client_connect sock in
   Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
-  let r = rpc c {|{"id":1,"op":"retune"}|} in
-  check_bool "missing k rejected" true (member_bool "ok" r = Some false);
-  let r = rpc c {|{"id":2,"op":"retune","k":-3}|} in
-  check_bool "negative k rejected" true (member_bool "ok" r = Some false)
+  let slot_pid st slot =
+    match Json.member "workers" st with
+    | Some (Json.List ws) ->
+      List.find_map
+        (fun w -> if member_int "idx" w = Some slot then member_int "pid" w else None)
+        ws
+    | _ -> None
+  in
+  let respawn_events st =
+    match Option.bind (Json.member "respawn" st) (Json.member "events") with
+    | Some (Json.List evs) ->
+      List.filter (fun e -> member_string "kind" e = Some "respawn") evs
+    | _ -> []
+  in
+  let st = stats c in
+  check_int "no events before a death" 0 (List.length (respawn_events st));
+  let victim =
+    match slot_pid st 1 with Some pid -> pid | None -> Alcotest.fail "slot 1 not listed"
+  in
+  Unix.kill victim Sys.sigkill;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait_event () =
+    let st = stats c in
+    match respawn_events st with
+    | ev :: _ -> (st, ev)
+    | [] when Unix.gettimeofday () > deadline -> Alcotest.fail "no respawn event in stats"
+    | [] ->
+      Unix.sleepf 0.2;
+      wait_event ()
+  in
+  let st, ev = wait_event () in
+  check_bool "the event names slot 1" true (member_int "worker" ev = Some 1);
+  let pid = member_int "pid" ev in
+  check_bool "the event names the new pid" true (pid <> None && pid <> Some victim);
+  check_bool "slot 1 runs that pid" true (slot_pid st 1 = pid)
 
 (* ---------------------------------------------------------------- *)
 (* The dense final fold over the socket backend                       *)
@@ -1037,9 +1053,9 @@ let suite =
     Alcotest.test_case "router: failover on worker death" `Quick test_router_failover;
     Alcotest.test_case "router: admission control sheds" `Quick test_router_admission_shed;
     Alcotest.test_case "router: respawn recovers the fleet" `Quick test_router_respawn;
-    Alcotest.test_case "router: retune broadcast re-prices hot loops" `Quick
-      test_router_retune;
-    Alcotest.test_case "router: retune validation" `Quick test_router_retune_validation;
+    Alcotest.test_case "router: unknown ops are protocol errors" `Quick
+      test_router_unknown_ops;
+    Alcotest.test_case "router: respawn events in stats" `Quick test_router_respawn_events;
     Alcotest.test_case "runner: mismatched lowered form refused pre-fork" `Quick
       test_runner_lowered_form_mismatch;
     Alcotest.test_case "runner: dense fold edge cases" `Quick test_runner_fold_edge_cases;

@@ -185,19 +185,30 @@ let test_watchdog_quiet_on_healthy_run () =
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
 
+(* The caller's side of the cache (as the compile service does it):
+   look up by fingerprint, schedule and store on a miss. *)
+let cached_schedule cache ~graph ~machine ~iterations =
+  let key = Schedule_cache.fingerprint ~graph ~machine ~iterations () in
+  match Schedule_cache.find cache ~key with
+  | Some full -> full
+  | None ->
+    let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations () in
+    Schedule_cache.add cache ~key full;
+    full
+
 let test_schedule_cache_hits () =
   let cache = Schedule_cache.create () in
   let graph = fig7 () in
   let machine = machine () in
-  let a = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:30 () in
-  let b = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:30 () in
+  let a = cached_schedule cache ~graph ~machine ~iterations:30 in
+  let b = cached_schedule cache ~graph ~machine ~iterations:30 in
   check_bool "second lookup is the memoized schedule" true (a == b);
   let st = Schedule_cache.stats cache in
   check_int "one hit" 1 st.Schedule_cache.hits;
   check_int "one miss" 1 st.Schedule_cache.misses;
   check_int "one entry" 1 st.Schedule_cache.entries;
   (* different request -> different entry *)
-  let c = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:31 () in
+  let c = cached_schedule cache ~graph ~machine ~iterations:31 in
   check_bool "different trip count misses" true (c != b);
   check_int "two entries" 2 (Schedule_cache.stats cache).Schedule_cache.entries
 
@@ -219,7 +230,7 @@ let test_schedule_cache_eviction () =
   let machine = machine () in
   let graph = fig7 () in
   List.iter
-    (fun n -> ignore (Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:n ()))
+    (fun n -> ignore (cached_schedule cache ~graph ~machine ~iterations:n))
     [ 10; 11; 12; 13 ];
   check_bool "bounded" true ((Schedule_cache.stats cache).Schedule_cache.entries <= 2);
   Schedule_cache.clear cache;
